@@ -12,7 +12,6 @@ hom set, breaking ties by enumeration order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,10 @@ from .freeword import Word, reduce
 from .group import GroupTable
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
-DEFAULT_AGREEMENT_BUDGET = 100_000_000
+
+# Array cells per block of endomorphism candidates, pair-table rows or
+# scored homs, so that working memory stays flat as the search grows.
+BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -136,30 +138,44 @@ def endomorphisms(
 ) -> list[Endo]:
     """All endomorphisms, in candidate-image order.
 
-    Candidates assign images to the greedy generators (itertools.product over
-    element ids), extend along the BFS spanning structure, and survive only if
-    the full pairwise homomorphism condition holds.
+    Candidates assign images to the greedy generators g_1, ..., g_k in
+    itertools.product order over element ids (g_1's image most significant).
+    Each block of candidates is decoded, extended along the BFS spanning
+    structure, and kept only if phi(e g_j) = phi(e) phi(g_j) for every
+    element e and every generator g_j.  That check is exact: phi(1) = 1 by
+    construction, and every b in a finite group is a positive word
+    g_j1 ... g_jm in the generators (an inverse is a positive power), so
+    induction on m gives phi(ab) = phi(a) phi(g_j1) ... phi(g_jm)
+    = phi(a) phi(b) for every a.
     """
     n = G.n
     gs = generating_sequence(G)
     k = len(gs.generators)
-    if n ** k > budget:
+    total = n ** k
+    if total > budget:
         raise BudgetExceededError(
-            f"endomorphism search needs {n ** k} candidates, budget {budget}"
+            f"endomorphism search needs {total} candidates, budget {budget}"
         )
     M = G.mul_array()
-    mul = G.mul
+    right = M[:, list(gs.generators)]  # right[e, j] = e * g_j
     body = [e for e in gs.order if e != 0]
     pe = gs.parent_elem
     pg = gs.parent_gen
+    step = max(1, BLOCK_CELLS // n)
     out = []
-    for images in itertools.product(range(n), repeat=k):
-        vals = [0] * n
+    for lo in range(0, total, step):
+        idx = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        images = np.empty((k, len(idx)), dtype=np.int64)
+        for j in reversed(range(k)):
+            idx, images[j] = np.divmod(idx, n)
+        # vals[e, c] = phi_c(e) for candidate c of the block.
+        vals = np.zeros((n, images.shape[1]), dtype=np.int64)
         for e in body:
-            vals[e] = mul[vals[pe[e]]][images[pg[e]]]
-        varr = np.asarray(vals, dtype=np.int64)
-        if _full_hom_check(M, varr):
-            out.append(Endo(values=tuple(vals)))
+            vals[e] = M[vals[pe[e]], images[pg[e]]]
+        for j in range(k):
+            ok = (vals[right[:, j]] == M[vals, images[j]]).all(axis=0)
+            vals, images = vals[:, ok], images[:, ok]
+        out.extend(Endo(values=tuple(row)) for row in vals.T.tolist())
     return out
 
 
@@ -172,59 +188,82 @@ def automorphisms(
 def homs_power(
     G: GroupTable, d: int, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> list[Hom]:
-    """All homomorphisms G^d -> G, as commuting d-tuples of endomorphisms."""
+    """All homomorphisms G^d -> G, as commuting d-tuples of endomorphisms,
+    in itertools.product order over the endomorphism list."""
     if d < 1:
         raise ValueError("d must be >= 1")
     endos = endomorphisms(G, budget)
-    if len(endos) ** d > budget:
-        raise BudgetExceededError(
-            f"hom enumeration needs {len(endos) ** d} tuples, budget {budget}"
-        )
-    M = G.mul_array()
-    commutes = M == M.T
-    images = [np.asarray(e.image(), dtype=np.int64) for e in endos]
     k = len(endos)
-    pair_ok = np.empty((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i, k):
-            ok = bool(commutes[np.ix_(images[i], images[j])].all())
-            pair_ok[i, j] = pair_ok[j, i] = ok
-    out = []
-    for combo in itertools.product(range(k), repeat=d):
-        if all(
-            pair_ok[combo[i], combo[j]]
-            for i in range(d)
-            for j in range(i + 1, d)
-        ):
-            out.append(Hom(d=d, components=tuple(endos[c] for c in combo)))
-    return out
-
-
-def _hom_values(G: GroupTable, phi: Hom,
-                cols: list[np.ndarray]) -> np.ndarray:
+    if k ** d > budget:
+        raise BudgetExceededError(
+            f"hom enumeration needs {k ** d} tuples, budget {budget}"
+        )
+    if d == 1:
+        return [Hom(d=1, components=(e,)) for e in endos]
+    # pair_ok[i, j]: the images of endos i and j commute elementwise, that
+    # is, no non-commuting pair (a, b) lies in im_i x im_j.  The matmul counts
+    # such pairs over 0/1 image indicators; every count is an integer of at
+    # most n^2, so float64 arithmetic is exact.
     M = G.mul_array()
-    vals = np.zeros(len(cols[0]), dtype=np.int64)
-    for i, comp in enumerate(phi.components):
-        cvals = np.asarray(comp.values, dtype=np.int64)
-        vals = M[vals, cvals[cols[i]]]
-    return vals
+    table = np.array([e.values for e in endos], dtype=np.int64)
+    ind = np.zeros((k, G.n))
+    np.put_along_axis(ind, table, 1.0, axis=1)
+    left = ind @ (M != M.T).astype(np.float64)
+    pair_ok = np.empty((k, k), dtype=bool)
+    step = max(1, BLOCK_CELLS // k)
+    for lo in range(0, k, step):
+        pair_ok[lo:lo + step] = left[lo:lo + step] @ ind.T == 0
+    # Row-major order of the admissible prefixes, extended one column at a
+    # time, is the product order of the admissible d-tuples.
+    tuples = np.argwhere(pair_ok)
+    for c in range(2, d):
+        m = len(tuples)
+        if m * k * (c + 1) > budget:
+            raise BudgetExceededError(
+                f"hom enumeration extends {m} tuples by {k} endomorphisms "
+                f"into up to {m * k * (c + 1)} ids, budget {budget}"
+            )
+        ok = pair_ok[tuples[:, 0]]
+        for i in range(1, c):
+            ok &= pair_ok[tuples[:, i]]
+        rows, nxt = np.nonzero(ok)
+        tuples = np.column_stack([tuples[rows], nxt])
+    return [Hom(d=d, components=tuple(endos[i] for i in row))
+            for row in tuples.tolist()]
+
+
+def _hom_values(M: np.ndarray, homs: list[Hom]) -> np.ndarray:
+    """Values of each hom on every tuple of G^d: shape (len(homs), n^d),
+    each row in index order.
+
+    One broadcast gather per coordinate serves the whole block: after j
+    coordinates, vals[b, g_1, ..., g_j] = c_1(g_1) ... c_j(g_j) for the
+    components c_1, ..., c_j of hom b.
+    """
+    comps = np.array([[c.values for c in phi.components] for phi in homs],
+                     dtype=np.int64)
+    h, d, n = comps.shape
+    vals = comps[:, 0]
+    for i in range(1, d):
+        vals = M[vals[..., None],
+                 comps[:, i].reshape((h,) + (1,) * i + (n,))]
+    return vals.reshape(h, n ** d)
 
 
 def agreement_set(
     w: Word, G: GroupTable, phi: Hom,
-    budget: int = DEFAULT_AGREEMENT_BUDGET,
+    budget: int = _tables.DEFAULT_TABLE_BUDGET,
 ) -> np.ndarray:
     """Boolean flags over G^d marking tuples where phi and w agree."""
     if w.arity > phi.d:
         raise ValueError(f"word uses x{w.arity} but hom has d = {phi.d}")
     wv = _tables.word_values(w, G, phi.d, budget)
-    cols = _tables.coordinate_columns(G.n, phi.d)
-    return _hom_values(G, phi, cols) == wv
+    return _hom_values(G.mul_array(), [phi])[0] == wv
 
 
 def agreement_count(
     w: Word, G: GroupTable, phi: Hom,
-    budget: int = DEFAULT_AGREEMENT_BUDGET,
+    budget: int = _tables.DEFAULT_TABLE_BUDGET,
 ) -> int:
     return int(agreement_set(w, G, phi, budget).sum())
 
@@ -232,28 +271,28 @@ def agreement_count(
 def best_agreement(
     w: Word, G: GroupTable, d: int,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    iter_budget: int = DEFAULT_AGREEMENT_BUDGET,
+    iter_budget: int = _tables.DEFAULT_TABLE_BUDGET,
 ) -> tuple[Fraction, Hom]:
     """Maximum agreement proportion over all homs G^d -> G, with a witness.
 
     Ties go to the earliest hom in enumeration order, so the witness is
-    deterministic.
+    deterministic.  Scoring compares every hom with w on all of G^d, and
+    that many cells must fit ``iter_budget``.
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
     homs = homs_power(G, d, hom_budget)
     size = G.n ** d
-    _tables.check_table_budget(size, iter_budget)
+    _tables.check_table_budget(len(homs) * size, iter_budget)
     wv = _tables.word_values(w, G, d, iter_budget)
-    cols = _tables.coordinate_columns(G.n, d)
-    best_count = -1
-    best_phi = None
-    for phi in homs:
-        c = int((_hom_values(G, phi, cols) == wv).sum())
-        if c > best_count:
-            best_count, best_phi = c, phi
-    assert best_phi is not None
-    return Fraction(best_count, size), best_phi
+    M = G.mul_array()
+    step = max(1, BLOCK_CELLS // size)
+    counts = np.concatenate([
+        (_hom_values(M, homs[lo:lo + step]) == wv).sum(axis=1)
+        for lo in range(0, len(homs), step)
+    ])
+    best = int(np.argmax(counts))  # argmax returns the first of any ties
+    return Fraction(int(counts[best]), size), homs[best]
 
 
 def power_agreement_profile(

@@ -217,9 +217,10 @@ def test_budget_exit(capsys):
 
 
 def test_check_failure_exit(capsys, monkeypatch):
-    # No known input makes the equivalence fail, so force the check itself.
-    monkeypatch.setattr(cli.census, "verify_mann_equivalence",
-                        lambda *a, **k: False)
+    # No known input makes the equivalence fail, so force a count that no
+    # census can match.
+    monkeypatch.setattr(cli.census, "power_equation_count",
+                        lambda *a, **k: -1)
     code, rep = run_json(capsys, ["verify-mann", "--group", "C2", "-e", "2"])
     assert code == 1
     assert rep["pass"] is False

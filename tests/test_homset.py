@@ -1,8 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from wordmaplab import cli
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 from wordmaplab.group import build, closure, direct_product, parse_cycles
@@ -88,6 +90,68 @@ def test_every_endo_satisfies_pairwise_condition(groups):
                 for a in range(G.n) for b in range(G.n)
             )
             assert v[0] == 0
+
+
+def loop_endomorphisms(G):
+    """Endomorphism value tables in search order, by plain loops:
+    itertools.product over images of the greedy generators, extension along
+    the spanning structure, and the full pairwise condition."""
+    gs = generating_sequence(G)
+    out = []
+    for images in itertools.product(range(G.n), repeat=len(gs.generators)):
+        vals = [0] * G.n
+        for e in gs.order:
+            if e != 0:
+                vals[e] = G.mul[vals[gs.parent_elem[e]]][
+                    images[gs.parent_gen[e]]]
+        if all(
+            vals[G.mul[a][b]] == G.mul[vals[a]][vals[b]]
+            for a in range(G.n) for b in range(G.n)
+        ):
+            out.append(tuple(vals))
+    return out
+
+
+def loop_homs_power(G, d):
+    """Commuting d-tuples of endomorphism tables in product order."""
+    out = []
+    for combo in itertools.product(loop_endomorphisms(G), repeat=d):
+        if all(
+            G.mul[a][b] == G.mul[b][a]
+            for i in range(d) for j in range(i + 1, d)
+            for a in combo[i] for b in combo[j]
+        ):
+            out.append(combo)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "C2xC4"])
+def test_endomorphism_order_vs_loop_oracle(spec, groups):
+    # best_agreement breaks ties by this order, so it is pinned, not just
+    # the set.
+    G = groups[spec]
+    assert [e.values for e in endomorphisms(G)] == loop_endomorphisms(G)
+
+
+@pytest.mark.parametrize("spec,d", [("S3", 2), ("D4", 2), ("S3", 3),
+                                    ("C2xC2", 3)])
+def test_homs_power_order_vs_loop_oracle(spec, d, groups):
+    G = groups[spec]
+    got = [tuple(c.values for c in phi.components)
+           for phi in homs_power(G, d)]
+    assert got == loop_homs_power(G, d)
+
+
+def test_homs_power_d1_builds_no_pair_table():
+    # All 2^16 endomorphisms of C2^4, each a hom G -> G.  A pair table over
+    # them would take about 2 * 10^9 image-pair checks.
+    G = build("C2xC2xC2xC2")
+    t0 = time.perf_counter()
+    homs = homs_power(G, 1)
+    elapsed = time.perf_counter() - t0
+    assert len(homs) == 65_536
+    assert all(phi.d == 1 for phi in homs)
+    assert elapsed < 5.0
 
 
 def brute_force_homs_power(G, d):
@@ -217,6 +281,31 @@ def test_budgets():
         endomorphisms(G, budget=100)
     with pytest.raises(BudgetExceededError):
         homs_power(build("C2"), 30, budget=10**6)
+
+
+def test_hom_extension_budget(groups, capsys):
+    # C2xC2 has 16 endomorphisms, all with commuting images, so d = 3 tries
+    # 16^3 = 4096 tuples but extends 256 pairs into 256 * 16 rows of 3 ids.
+    G = groups["C2xC2"]
+    assert len(homs_power(G, 3, budget=256 * 16 * 3)) == 4096
+    with pytest.raises(BudgetExceededError):
+        homs_power(G, 3, budget=256 * 16 * 3 - 1)
+    assert cli.run(["hom-search", "--group", "C2xC2", "--d", "3",
+                    "--budget-hom", "5000"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_scoring_budget(groups, capsys):
+    # Scoring the 10 endomorphisms of S3 against x1^2 on 6 tuples needs 60
+    # cells; the word table alone needs 6.
+    w = parse_word("x1^2")
+    assert best_agreement(w, groups["S3"], 1, iter_budget=60)[0] == \
+        Fraction(2, 3)
+    with pytest.raises(BudgetExceededError):
+        best_agreement(w, groups["S3"], 1, iter_budget=59)
+    assert cli.run(["hom-search", "--group", "S3", "--word", "x1^2",
+                    "--budget-table", "59"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_hom_validation():
