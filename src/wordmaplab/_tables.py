@@ -21,21 +21,6 @@ def radices(n: int, d: int) -> list[int]:
     return [n ** (d - 1 - i) for i in range(d)]
 
 
-def tuple_to_index(tup, n: int) -> int:
-    idx = 0
-    for g in tup:
-        idx = idx * n + g
-    return idx
-
-
-def index_to_tuple(idx: int, n: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        idx, g = divmod(idx, n)
-        out.append(g)
-    return tuple(reversed(out))
-
-
 def coordinate_columns(n: int, d: int) -> list[np.ndarray]:
     """Column i holds coordinate i+1 of every index of G^d, in index order."""
     idx = np.arange(n ** d, dtype=np.int64)
@@ -59,12 +44,15 @@ def word_values(w: Word, G: GroupTable, d: int,
     n = G.n
     size = n ** d
     check_table_budget(size, budget)
-    M = G.mul_array()
-    cols = coordinate_columns(n, d)
+    return evaluate_columns(w, G, coordinate_columns(n, d), size)
+
+
+def evaluate_columns(w: Word, G: GroupTable, cols, size: int) -> np.ndarray:
+    """Evaluate w at ``size`` assignments at once; cols[i] holds the values
+    of x_{i+1}, one per assignment."""
     vals = np.zeros(size, dtype=np.int64)
     for var, exp in w.syllables:
-        pw = np.asarray(power_table(G, exp), dtype=np.int64)
-        vals = M[vals, pw[cols[var - 1]]]
+        vals = G.mul[vals, power_table(G, exp)[cols[var - 1]]]
     return vals
 
 
@@ -74,5 +62,5 @@ def evaluate_word(w: Word, G: GroupTable, assignment) -> int:
         raise ValueError("assignment shorter than word arity")
     acc = 0
     for var, exp in w.syllables:
-        acc = G.mul[acc][element_power(G, assignment[var - 1], exp)]
+        acc = G.mul.item(acc, element_power(G, assignment[var - 1], exp))
     return acc

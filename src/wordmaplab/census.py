@@ -151,13 +151,6 @@ class CensusResult:
         return self.estimate_mean
 
 
-def _census_arrays(w: Word, G: GroupTable, d: int, budget: int):
-    """Shared tables: word map over G^d plus coordinate columns."""
-    wv = _tables.word_values(w, G, d, budget)
-    cols = _tables.coordinate_columns(G.n, d)
-    return wv, cols
-
-
 def _chunk_ranges(total: int, step: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
@@ -175,12 +168,14 @@ def count_solutions_exact(
     iter_budget: int = DEFAULT_ITER_BUDGET,
     table_budget: int = DEFAULT_TABLE_BUDGET,
     workers: int = 1,
+    wv: np.ndarray | None = None,
 ) -> CensusResult:
     """Exact census of the triple equation over (G^d)^3.
 
     Iterates u over G^d with the (s, t) plane vectorized; the returned count
     is a plain integer sum over a fixed partition of the index space, so it
-    cannot depend on chunking or worker count.
+    cannot depend on chunking or worker count.  ``wv`` is the word table
+    ``_tables.word_values(w, G, d)`` when the caller already has it.
     """
     if d is None:
         d = max(w.arity, 1)
@@ -192,9 +187,10 @@ def count_solutions_exact(
             f"exact census needs {space} iterations, budget {iter_budget}"
         )
     _tables.check_table_budget(size * size * (d + 1), table_budget)
-    wv, cols = _census_arrays(w, G, d, table_budget)
-    M = G.mul_array()
-    inv = G.inv_array()
+    if wv is None:
+        wv = _tables.word_values(w, G, d, table_budget)
+    cols = _tables.coordinate_columns(n, d)
+    M, inv = G.mul, G.inv
     rads = _tables.radices(n, d)
 
     # Per-coordinate planes of s^-1 t over (s, t); combining with each u costs
@@ -227,6 +223,7 @@ def estimate_solutions(
     d: int | None = None,
     table_budget: int = DEFAULT_TABLE_BUDGET,
     workers: int = 1,
+    wv: np.ndarray | None = None,
 ) -> CensusResult:
     """Sampled census: uniform i.i.d. triples from (G^d)^3.
 
@@ -235,7 +232,8 @@ def estimate_solutions(
     mean is the exact hit fraction; the half-width is the 95% normal
     approximation z * sqrt(p(1-p)/samples) with z = 49/25 and the square root
     taken by integer arithmetic, so identical (seed, samples) reproduce the
-    result bit for bit on any platform.
+    result bit for bit on any platform.  ``wv`` is as in
+    ``count_solutions_exact``.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
@@ -243,9 +241,9 @@ def estimate_solutions(
         d = max(w.arity, 1)
     n = G.n
     size = n ** d
-    wv, _ = _census_arrays(w, G, d, table_budget)
-    M = G.mul_array()
-    inv = G.inv_array()
+    if wv is None:
+        wv = _tables.word_values(w, G, d, table_budget)
+    M, inv = G.mul, G.inv
     rads = np.asarray(_tables.radices(n, d), dtype=np.int64)
 
     def run_chunk(chunk: tuple[int, int]) -> int:
@@ -307,8 +305,7 @@ def _translate_tables(S, G: GroupTable, d: int, table_budget: int):
     members = np.nonzero(flags)[0]
     m = len(members)
     _tables.check_table_budget(size * m * (d + 1), table_budget)
-    M = G.mul_array()
-    inv = G.inv_array()
+    M, inv = G.mul, G.inv
     rads = _tables.radices(n, d)
     gcols = _tables.coordinate_columns(n, d)
     mcols = [c[members] for c in gcols]
@@ -417,15 +414,17 @@ def verify_theorem(
     n = G.n
     size = n ** d
     space = size ** 3
+    if hom is not None and hom.d != d:
+        raise ValueError(f"hom has d = {hom.d}, expected {d}")
+    # One word table serves the hom scoring, the agreement set and the census.
+    wv = _tables.word_values(w, G, d, table_budget)
     if hom is not None:
-        if hom.d != d:
-            raise ValueError(f"hom has d = {hom.d}, expected {d}")
         phi = hom
-        flags = agreement_set(w, G, phi, table_budget)
+        flags = agreement_set(w, G, phi, table_budget, wv=wv)
         rho = Fraction(int(flags.sum()), size)
     else:
-        rho, phi = best_agreement(w, G, d, hom_budget, table_budget)
-        flags = agreement_set(w, G, phi, table_budget)
+        rho, phi = best_agreement(w, G, d, hom_budget, table_budget, wv=wv)
+        flags = agreement_set(w, G, phi, table_budget, wv=wv)
     s_size = int(flags.sum())
     bt = bound_triple(rho)
     required = bt.f * space
@@ -433,13 +432,13 @@ def verify_theorem(
 
     if samples is None:
         census = count_solutions_exact(
-            w, G, d, iter_budget, table_budget, workers
+            w, G, d, iter_budget, table_budget, workers, wv=wv
         )
         pass_solutions = Fraction(census.count) >= required
         checks.append("census-exact")
     else:
         census = estimate_solutions(
-            w, G, samples, seed, d, table_budget, workers
+            w, G, samples, seed, d, table_budget, workers, wv=wv
         )
         pass_solutions = census.estimate_mean >= bt.f
         checks.append("census-estimate")
@@ -494,8 +493,8 @@ def power_equation_count(
             f"power equation census needs {n ** 3} iterations, "
             f"budget {iter_budget}"
         )
-    M = G.mul_array()
-    pe = np.asarray(power_table(G, e), dtype=np.int64)
+    M = G.mul
+    pe = power_table(G, e)
     pow_prod = M[pe[:, None], pe[None, :]]  # x^e y^e
     total = 0
     for z in range(n):
@@ -552,24 +551,16 @@ def verify_commuting_corollary(
     cp = commuting_probability(G)
     bound = commuting_bound(rho)
     v = derived_word(w)
-    mul = G.mul
-    inv = G.inv
-    ok = True
-    draws = randbelow_block(seed, G.n, equation_samples * 6)
-    for j in range(equation_samples):
-        s1, s2, t1, t2, u1, u2 = (int(x) for x in draws[6 * j:6 * j + 6])
-        lhs = mul[mul[s1][s2]][inv[s1]]
-        r = mul[t1][t2]
-        r = mul[r][u1]
-        r = mul[r][inv[t2]]
-        r = mul[r][s2]
-        r = mul[r][inv[u1]]
-        rhs = mul[r][inv[t1]]
-        eq1 = lhs == rhs
-        solves = _tables.evaluate_word(v, G, (s1, s2, t1, t2, u1, u2)) == 0
-        if eq1 != solves:
-            ok = False
-            break
+    M, inv = G.mul, G.inv
+    m = equation_samples
+    cols = randbelow_block(seed, G.n, m * 6).reshape(m, 6).T
+    s1, s2, t1, t2, u1, _ = cols
+    lhs = M[M[s1, s2], inv[s1]]
+    rhs = t1
+    for x in (t2, u1, inv[t2], s2, inv[u1], inv[t1]):
+        rhs = M[rhs, x]
+    solves = _tables.evaluate_columns(v, G, cols, m) == 0
+    ok = bool(((lhs == rhs) == solves).all())
     return CommutingReport(
         group=G.name or f"order-{G.n}",
         rho=rho,

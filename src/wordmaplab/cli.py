@@ -22,7 +22,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,18 +79,14 @@ class RunConfig:
             raise ValueError("--seed must be an unsigned 64-bit integer")
 
 
-def _frac(q: Fraction) -> str:
-    return rat_str(q)
-
-
 def _census_dict(r: census.CensusResult) -> dict:
     out = {"mode": r.mode, "space_size": str(r.space_size)}
     if r.mode == "exact":
         out["count"] = str(r.count)
-        out["proportion"] = _frac(r.proportion)
+        out["proportion"] = rat_str(r.proportion)
     else:
-        out["estimate_mean"] = _frac(r.estimate_mean)
-        out["ci_half_width"] = _frac(r.ci_half_width)
+        out["estimate_mean"] = rat_str(r.estimate_mean)
+        out["ci_half_width"] = rat_str(r.ci_half_width)
         out["samples"] = r.samples
         out["seed"] = str(r.seed)
     return out
@@ -104,15 +99,15 @@ def _theorem_dict(rep: census.TheoremReport) -> dict:
         "d": rep.d,
         "order": rep.order,
         "s_size": str(rep.s_size),
-        "rho": _frac(rep.rho),
-        "f1": _frac(rep.bounds.f1),
-        "f2": _frac(rep.bounds.f2),
-        "f": _frac(rep.bounds.f),
-        "required_solutions": _frac(rep.required),
+        "rho": rat_str(rep.rho),
+        "f1": rat_str(rep.bounds.f1),
+        "f2": rat_str(rep.bounds.f2),
+        "f": rat_str(rep.bounds.f),
+        "required_solutions": rat_str(rep.required),
         "solutions": _census_dict(rep.solutions),
-        "pair_threshold": _frac(rep.pair_threshold),
-        "required_pairs": _frac(rep.required_pairs),
-        "required_triples": _frac(rep.required_triples),
+        "pair_threshold": rat_str(rep.pair_threshold),
+        "required_pairs": rat_str(rep.required_pairs),
+        "required_triples": rat_str(rep.required_triples),
         "checks_run": list(rep.checks_run),
         "pass_solutions": rep.pass_solutions,
     }
@@ -155,11 +150,10 @@ def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> homset.Hom:
         ):
             raise ValueError("component tables must be lists of n element ids")
         values = np.asarray(tab, dtype=np.int64)
-        if not homset._full_hom_check(G.mul_array(), values):
+        if not homset._full_hom_check(G.mul, values):
             raise ValueError("component table is not an endomorphism")
         endos.append(homset.Endo(values=tuple(tab)))
-    M = G.mul_array()
-    commutes = M == M.T
+    commutes = G.mul == G.mul.T
     for i in range(d):
         for j in range(i + 1, d):
             if not commutes[np.ix_(endos[i].image(), endos[j].image())].all():
@@ -219,9 +213,9 @@ def _cmd_verify_commuting(cfg: RunConfig):
     )
     results = {
         "group": rep.group,
-        "rho": _frac(rep.rho),
-        "commuting_probability": _frac(rep.commuting_probability),
-        "bound": _frac(rep.bound),
+        "rho": rat_str(rep.rho),
+        "commuting_probability": rat_str(rep.commuting_probability),
+        "bound": rat_str(rep.bound),
         "equation_samples": rep.equation_samples,
         "equation_consistent": rep.equation_consistent,
         "pass_bound": rep.pass_bound,
@@ -234,10 +228,10 @@ def _lemma_dict(rep: familycheck.LemmaReport) -> dict:
         "label": rep.label,
         "x_size": rep.x_size,
         "i_size": rep.i_size,
-        "rho": _frac(rep.rho),
-        "overlap_threshold": _frac(rep.overlap_threshold),
+        "rho": rat_str(rep.rho),
+        "overlap_threshold": rat_str(rep.overlap_threshold),
         "qualifying_pairs": str(rep.qualifying_pairs),
-        "required_pairs": _frac(rep.required_pairs),
+        "required_pairs": rat_str(rep.required_pairs),
         "pass": rep.passed,
     }
 
@@ -285,7 +279,7 @@ def _cmd_fiber_stats(cfg: RunConfig):
         "d": st.d,
         "domain_size": str(st.domain_size),
         "histogram": {str(k): v for k, v in sorted(st.histogram.items())},
-        "max_fiber": _frac(st.max_fiber),
+        "max_fiber": rat_str(st.max_fiber),
     }
     return {"fibers": results}, True
 
@@ -310,7 +304,7 @@ def _cmd_hom_search(cfg: RunConfig):
             w, G, d, cfg.budget_hom, cfg.budget_table
         )
         results["word"] = str(w)
-        results["best_agreement"] = _frac(rho)
+        results["best_agreement"] = rat_str(rho)
         results["witness_components"] = [
             list(c.values) for c in phi.components
         ]
@@ -321,7 +315,7 @@ def _cmd_commuting_probability(cfg: RunConfig):
     G = _build_group(cfg)
     results = {
         "group": G.name,
-        "commuting_probability": _frac(commuting_probability(G)),
+        "commuting_probability": rat_str(commuting_probability(G)),
         "conjugacy_classes": conjugacy_class_count(G),
         "order": G.n,
     }

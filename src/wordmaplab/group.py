@@ -16,102 +16,112 @@ identity, inverses, associativity, element orders dividing n).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .rng import SplitMix64
 
 DEFAULT_ORDER_BUDGET = 2000
-
-# Full associativity is cubic; above this order a fixed-seed random sample of
-# at least 10**5 triples is checked instead.
-FULL_ASSOC_LIMIT = 64
-ASSOC_SAMPLE = 100_000
-ASSOC_SAMPLE_SEED = 0x5EED0A550C
 
 
 class GroupSpecError(ValueError):
     """Malformed or unsupported group spec text."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupTable:
-    """A finite group: order, multiplication table, inverses, labels."""
+    """A finite group: order, multiplication table, inverses, labels.
+
+    ``mul`` (n x n) and ``inv`` (n) are read-only int64 arrays.  Whatever is
+    passed in is converted without a copy where possible and frozen in place.
+    """
 
     n: int
-    mul: list[list[int]]
-    inv: list[int]
+    mul: np.ndarray
+    inv: np.ndarray
     labels: list[str]
     name: str = ""
-    _np_mul: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _np_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def mul_array(self) -> np.ndarray:
-        if self._np_mul is None:
-            self._np_mul = np.asarray(self.mul, dtype=np.int64)
-        return self._np_mul
-
-    def inv_array(self) -> np.ndarray:
-        if self._np_inv is None:
-            self._np_inv = np.asarray(self.inv, dtype=np.int64)
-        return self._np_inv
+    def __post_init__(self):
+        for attr in ("mul", "inv"):
+            table = np.asarray(getattr(self, attr), dtype=np.int64)
+            table.flags.writeable = False
+            setattr(self, attr, table)
 
 
 def validate_table(G: GroupTable) -> None:
-    """Check all table invariants; raise ValueError on the first failure."""
+    """Check all table invariants; raise ValueError on the first failure.
+
+    Associativity is decided exactly by Light's test (Clifford and Preston,
+    *Algebraic Theory of Semigroups*, vol. 1, section 1.2).  Let T be the set
+    of t with (x t) y = x (t y) for all x and y.  T holds the identity and is
+    closed under the product: for s, t in T,
+
+        (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y).
+
+    The generators are found from the table itself: greedily adjoin the
+    smallest element not yet reached, where an element is reached if it is
+    0 g_a g_b ... (right-multiplied from the identity, left to right).  Every
+    reached element is a product of elements of T, so once each generator
+    passes the test, every element lies in T and the table is associative.
+    The check costs O(k n^2) for k generators, and k <= log2 n for a group.
+    """
     n = G.n
     if n < 1:
         raise ValueError("group order must be >= 1")
-    if len(G.mul) != n or any(len(row) != n for row in G.mul):
+    M, inv = G.mul, G.inv
+    if M.shape != (n, n):
         raise ValueError("mul table must be n x n")
-    if len(G.inv) != n or len(G.labels) != n:
+    if inv.shape != (n,) or len(G.labels) != n:
         raise ValueError("inv and labels must have length n")
-    M = G.mul_array()
     if M.min() < 0 or M.max() >= n:
         raise ValueError("mul entries out of range")
+    for axis, lines in ((1, "rows"), (0, "columns")):
+        seen = np.zeros((n, n), dtype=bool)
+        np.put_along_axis(seen, M, True, axis=axis)
+        if not seen.all():
+            raise ValueError(f"mul table is not a Latin square ({lines})")
     ids = np.arange(n)
-    if not (np.sort(M, axis=1) == ids[None, :]).all():
-        raise ValueError("mul table is not a Latin square (rows)")
-    if not (np.sort(M, axis=0) == ids[:, None]).all():
-        raise ValueError("mul table is not a Latin square (columns)")
     if not (M[0] == ids).all() or not (M[:, 0] == ids).all():
         raise ValueError("element 0 is not the identity")
-    inv = G.inv_array()
     if not (M[ids, inv] == 0).all() or not (M[inv, ids] == 0).all():
         raise ValueError("inv table is wrong")
-    if n <= FULL_ASSOC_LIMIT:
-        if not np.array_equal(M[M], M[:, M]):
+    for g in greedy_generators(G):
+        # row x, column y: (x g) y against x (g y)
+        if not np.array_equal(np.take(M, M[:, g], axis=0),
+                              np.take(M, M[g], axis=1)):
             raise ValueError("multiplication is not associative")
-    else:
-        rng = SplitMix64(ASSOC_SAMPLE_SEED)
-        for _ in range(ASSOC_SAMPLE):
-            a = rng.randbelow(n)
-            b = rng.randbelow(n)
-            c = rng.randbelow(n)
-            if G.mul[G.mul[a][b]][c] != G.mul[a][G.mul[b][c]]:
-                raise ValueError("multiplication is not associative")
-    for g in range(n):
-        if n % element_order(G, g) != 0:
-            raise ValueError(f"order of element {g} does not divide {n}")
+    orders = element_orders(G)
+    bad = np.flatnonzero(n % orders)
+    if bad.size:
+        raise ValueError(f"order of element {bad[0]} does not divide {n}")
 
 
-def _finish(n, mul, inv, labels, name) -> GroupTable:
-    G = GroupTable(n=n, mul=mul, inv=inv, labels=labels, name=name)
+def greedy_generators(G: GroupTable) -> list[int]:
+    """Adjoin the smallest element not yet reached from 0 by right
+    multiplication by the generators so far, until every element is."""
+    reached = np.zeros(G.n, dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            nxt = np.unique(G.mul[frontier[:, None], gens])
+            frontier = nxt[~reached[nxt]]
+            reached[frontier] = True
+    return gens
+
+
+def _finish(mul, labels, name) -> GroupTable:
+    """Validated table with inverses read off the identity's positions."""
+    mul = np.asarray(mul, dtype=np.int64)
+    G = GroupTable(n=len(mul), mul=mul, inv=np.argmax(mul == 0, axis=1),
+                   labels=labels, name=name)
     validate_table(G)
     return G
-
-
-def _inverses(n, mul) -> list[int]:
-    inv = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if mul[a][b] == 0:
-                inv[a] = b
-                break
-    return inv
 
 
 def _check_budget(order: int, budget: int, what: str) -> None:
@@ -125,9 +135,9 @@ def cyclic(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     if n < 1:
         raise GroupSpecError("cyclic group needs n >= 1")
     _check_budget(n, budget, f"C{n}")
-    mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+    ids = np.arange(n, dtype=np.int64)
     labels = ["e"] + [f"g{'' if k == 1 else '^' + str(k)}" for k in range(1, n)]
-    return _finish(n, mul, _inverses(n, mul), labels, f"C{n}")
+    return _finish((ids[:, None] + ids) % n, labels, f"C{n}")
 
 
 def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
@@ -135,17 +145,14 @@ def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     if n < 1:
         raise GroupSpecError("dihedral group needs n >= 1")
     _check_budget(2 * n, budget, f"D{n}")
-    size = 2 * n
-    mul = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j] = (i + j) % n                  # r^i r^j
-            mul[i][n + j] = n + (j - i) % n          # r^i (s r^j) = s r^(j-i)
-            mul[n + i][j] = n + (i + j) % n          # (s r^i) r^j
-            mul[n + i][n + j] = (j - i) % n          # (s r^i)(s r^j) = r^(j-i)
+    ids = np.arange(n, dtype=np.int64)
+    add = (ids[:, None] + ids) % n     # r^i r^j = r^(i+j)
+    sub = (ids - ids[:, None]) % n     # r^i (s r^j) = s r^(j-i)
+    mul = np.block([[add, n + sub],    # (s r^i)(s r^j) = r^(j-i)
+                    [n + add, sub]])
     labels = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
     labels[0] = "e"
-    return _finish(size, mul, _inverses(size, mul), labels, f"D{n}")
+    return _finish(mul, labels, f"D{n}")
 
 
 def quaternion(budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
@@ -169,15 +176,10 @@ def quaternion(budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
             sp, up = utab[(ua, ub)]
             mul[a][b] = index[(sa * sb * sp, up)]
     labels = [("" if s == 1 else "-") + u for (s, u) in elems]
-    return _finish(8, mul, _inverses(8, mul), labels, "Q8")
+    return _finish(mul, labels, "Q8")
 
 
-# -- permutation machinery (tuples p with p[i] = image of point i) -----------
-
-def perm_compose(p: tuple, q: tuple) -> tuple:
-    """Product p*q acting as 'apply q first, then p'."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
+# -- permutation machinery (p[i] = image of point i; p q applies q first) ----
 
 def _perm_label(p: tuple) -> str:
     seen = [False] * len(p)
@@ -206,30 +208,49 @@ def closure(
 
     Element 0 is the identity; ids follow BFS discovery order (each element in
     turn is right-multiplied by the generators in their given order), so the
-    labelling is a pure function of the generator list.
+    labelling is a pure function of the generator list.  The search runs a
+    level at a time: the products of one level, in row-major (element,
+    generator) order, come in the order in which a queue would meet them, so
+    keeping each new product at its first occurrence gives the same ids.
     """
     degree = max((len(g) for g in generators), default=1)
-    gens = [tuple(g) + tuple(range(len(g), degree)) for g in generators]
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    pos = 0
-    while pos < len(elems):
-        e = elems[pos]
-        pos += 1
-        for g in gens:
-            h = perm_compose(e, g)
-            if h not in index:
-                if len(elems) >= budget:
-                    raise BudgetExceededError(
-                        f"closure exceeded the order budget of {budget}"
-                    )
-                index[h] = len(elems)
-                elems.append(h)
-    n = len(elems)
-    mul = [[index[perm_compose(a, b)] for b in elems] for a in elems]
-    labels = [_perm_label(p) for p in elems]
-    return _finish(n, mul, _inverses(n, mul), labels, name or "perm-closure")
+    gens = np.array([tuple(g) + tuple(range(len(g), degree))
+                     for g in generators], dtype=np.int64).reshape(-1, degree)
+    # A permutation's key is its base-degree code; degree <= 12 fits int64.
+    weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+    level = np.arange(degree, dtype=np.int64)[None, :]
+    levels = [level]
+    known = level @ weights  # sorted codes of every element found so far
+    n = 1
+    while True:
+        prods = level[:, gens].reshape(-1, degree)  # (e g)[i] = e[g[i]]
+        codes = prods @ weights
+        fresh = ~np.isin(codes, known)
+        new_codes, first = np.unique(codes[fresh], return_index=True)
+        if not new_codes.size:
+            break
+        if n + new_codes.size > budget:
+            raise BudgetExceededError(
+                f"closure exceeded the order budget of {budget}"
+            )
+        level = prods[fresh][np.sort(first)]
+        levels.append(level)
+        known = np.union1d(known, new_codes)
+        n += new_codes.size
+    elems = np.concatenate(levels)
+    codes = elems @ weights
+    order = np.argsort(codes)
+    # right[e, j] = id of e g_j.  The search found each b != 0 as parent[b]
+    # g_j at its first occurrence in right, so parent[b] < b, and column b of
+    # the table is a b = (a parent[b]) g_j: one gather per element.
+    right = order[np.searchsorted(codes[order], elems[:, gens] @ weights)]
+    parent, gen = np.divmod(np.unique(right, return_index=True)[1], len(gens))
+    mul = np.empty((n, n), dtype=np.int64)
+    mul[:, 0] = np.arange(n)
+    for b in range(1, n):
+        mul[:, b] = right[mul[:, parent[b]], gen[b]]
+    labels = [_perm_label(p) for p in elems.tolist()]
+    return _finish(mul, labels, name or "perm-closure")
 
 
 def symmetric(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
@@ -262,22 +283,11 @@ def direct_product(A: GroupTable, B: GroupTable,
     """Componentwise product; id of (a, b) is a * B.n + b, so (0,0) = 0."""
     n = A.n * B.n
     _check_budget(n, budget, f"{A.name}x{B.name}")
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(A.n):
-        for b1 in range(B.n):
-            row = mul[a1 * B.n + b1]
-            arow = A.mul[a1]
-            brow = B.mul[b1]
-            for a2 in range(A.n):
-                ar = arow[a2] * B.n
-                base = a2 * B.n
-                for b2 in range(B.n):
-                    row[base + b2] = ar + brow[b2]
+    mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :])
     labels = [
         f"({la},{lb})" for la in A.labels for lb in B.labels
     ]
-    name = f"{A.name}x{B.name}"
-    return _finish(n, mul, _inverses(n, mul), labels, name)
+    return _finish(mul.reshape(n, n), labels, f"{A.name}x{B.name}")
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -299,7 +309,7 @@ def parse_cycles(text: str) -> tuple:
         cycles.append(pts)
         maxpt = max(maxpt, max(pts))
     perm = list(range(maxpt))
-    # cycles apply right to left, matching perm_compose
+    # the leftmost cycle acts first: perm becomes perm * cycle, last to first
     for cyc in reversed(cycles):
         nxt = perm[:]
         for i, p in enumerate(cyc):
@@ -347,10 +357,23 @@ def build(spec: str, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
 
 # -- elementary queries -------------------------------------------------------
 
+def element_orders(G: GroupTable) -> np.ndarray:
+    """Order of every element, by stepping all powers g^k at once."""
+    orders = np.ones(G.n, dtype=np.int64)
+    live = np.flatnonzero(np.arange(G.n))
+    acc = live.copy()  # acc[i] = live[i]^orders[live[i]]
+    while live.size:
+        acc = G.mul[acc, live]
+        orders[live] += 1
+        keep = acc != 0
+        live, acc = live[keep], acc[keep]
+    return orders
+
+
 def element_order(G: GroupTable, g: int) -> int:
     k, acc = 1, g
     while acc != 0:
-        acc = G.mul[acc][g]
+        acc = G.mul.item(acc, g)
         k += 1
     return k
 
@@ -358,46 +381,49 @@ def element_order(G: GroupTable, g: int) -> int:
 def element_power(G: GroupTable, g: int, e: int) -> int:
     """g^e by square-and-multiply; negative exponents via the inverse."""
     if e < 0:
-        return element_power(G, G.inv[g], -e)
+        return element_power(G, G.inv.item(g), -e)
     acc, base = 0, g
     while e:
         if e & 1:
-            acc = G.mul[acc][base]
-        base = G.mul[base][base]
+            acc = G.mul.item(acc, base)
+        base = G.mul.item(base, base)
         e >>= 1
     return acc
 
 
-def power_table(G: GroupTable, e: int) -> list[int]:
-    """The e-th power map as a table over all elements."""
-    return [element_power(G, g, e) for g in range(G.n)]
+def power_table(G: GroupTable, e: int) -> np.ndarray:
+    """The e-th power map as a table over all elements, by square-and-multiply
+    on whole arrays; negative exponents via the inverse."""
+    base = G.inv if e < 0 else np.arange(G.n, dtype=np.int64)
+    e = abs(e)
+    acc = np.zeros(G.n, dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = G.mul[acc, base]
+        base = G.mul[base, base]
+        e >>= 1
+    return acc
 
 
 def is_abelian(G: GroupTable) -> bool:
-    M = G.mul_array()
-    return bool((M == M.T).all())
+    return bool((G.mul == G.mul.T).all())
 
 
 def centralizer_size(G: GroupTable, g: int) -> int:
-    row = G.mul_array()[:, g]
-    col = G.mul_array()[g, :]
-    return int((row == col).sum())
+    return int((G.mul[:, g] == G.mul[g, :]).sum())
 
 
 def commuting_probability(G: GroupTable) -> Fraction:
     """Exact proportion of commuting ordered pairs, |{(a,b): ab=ba}| / n^2."""
-    M = G.mul_array()
-    return Fraction(int((M == M.T).sum()), G.n * G.n)
+    return Fraction(int((G.mul == G.mul.T).sum()), G.n * G.n)
 
 
 def conjugacy_class_count(G: GroupTable) -> int:
-    n = G.n
-    seen = [False] * n
+    """One gather per class: the class of g is {a g a^-1 : a in G}."""
+    seen = np.zeros(G.n, dtype=bool)
     count = 0
-    for g in range(n):
-        if seen[g]:
-            continue
-        count += 1
-        for a in range(n):
-            seen[G.mul[G.mul[a][g]][G.inv[a]]] = True
+    for g in range(G.n):
+        if not seen[g]:
+            count += 1
+            seen[G.mul[G.mul[:, g], G.inv]] = True
     return count

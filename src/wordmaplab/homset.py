@@ -20,7 +20,7 @@ import numpy as np
 from . import _tables
 from .errors import BudgetExceededError
 from .freeword import Word, reduce
-from .group import GroupTable
+from .group import GroupTable, greedy_generators
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 
@@ -61,7 +61,7 @@ class Hom:
     def __call__(self, G: GroupTable, tup) -> int:
         acc = 0
         for i in range(self.d):
-            acc = G.mul[acc][self.components[i](tup[i])]
+            acc = G.mul.item(acc, self.components[i](tup[i]))
         return acc
 
 
@@ -89,37 +89,26 @@ class GeneratingSequence:
 
 
 def generating_sequence(G: GroupTable) -> GeneratingSequence:
-    """Greedy generating sequence: repeatedly adjoin the smallest element id
-    outside the subgroup generated so far, then re-close breadth-first."""
+    """Greedy generating sequence (``group.greedy_generators``: repeatedly
+    adjoin the smallest element id outside the subgroup generated so far),
+    closed breadth-first."""
     n = G.n
-    gens: list[int] = []
+    gens = greedy_generators(G)
+    right = G.mul[:, gens].tolist()  # right[e][gi] = e * gens[gi]
     order = [0]
     parent_elem = [0] * n
     parent_gen = [0] * n
     known = {0}
-
-    def reclose():
-        nonlocal order, parent_elem, parent_gen, known
-        order = [0]
-        parent_elem = [0] * n
-        parent_gen = [0] * n
-        known = {0}
-        pos = 0
-        while pos < len(order):
-            e = order[pos]
-            pos += 1
-            for gi, g in enumerate(gens):
-                h = G.mul[e][g]
-                if h not in known:
-                    known.add(h)
-                    parent_elem[h] = e
-                    parent_gen[h] = gi
-                    order.append(h)
-
-    while len(known) < n:
-        outside = min(g for g in range(n) if g not in known)
-        gens.append(outside)
-        reclose()
+    pos = 0
+    while pos < len(order):
+        e = order[pos]
+        pos += 1
+        for gi, h in enumerate(right[e]):
+            if h not in known:
+                known.add(h)
+                parent_elem[h] = e
+                parent_gen[h] = gi
+                order.append(h)
     return GeneratingSequence(
         generators=tuple(gens),
         order=tuple(order),
@@ -156,7 +145,7 @@ def endomorphisms(
         raise BudgetExceededError(
             f"endomorphism search needs {total} candidates, budget {budget}"
         )
-    M = G.mul_array()
+    M = G.mul
     right = M[:, list(gs.generators)]  # right[e, j] = e * g_j
     body = [e for e in gs.order if e != 0]
     pe = gs.parent_elem
@@ -204,7 +193,7 @@ def homs_power(
     # is, no non-commuting pair (a, b) lies in im_i x im_j.  The matmul counts
     # such pairs over 0/1 image indicators; every count is an integer of at
     # most n^2, so float64 arithmetic is exact.
-    M = G.mul_array()
+    M = G.mul
     table = np.array([e.values for e in endos], dtype=np.int64)
     ind = np.zeros((k, G.n))
     np.put_along_axis(ind, table, 1.0, axis=1)
@@ -253,12 +242,16 @@ def _hom_values(M: np.ndarray, homs: list[Hom]) -> np.ndarray:
 def agreement_set(
     w: Word, G: GroupTable, phi: Hom,
     budget: int = _tables.DEFAULT_TABLE_BUDGET,
+    wv: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Boolean flags over G^d marking tuples where phi and w agree."""
+    """Boolean flags over G^d marking tuples where phi and w agree.  ``wv``
+    is the word table ``_tables.word_values(w, G, phi.d)`` when the caller
+    already has it."""
     if w.arity > phi.d:
         raise ValueError(f"word uses x{w.arity} but hom has d = {phi.d}")
-    wv = _tables.word_values(w, G, phi.d, budget)
-    return _hom_values(G.mul_array(), [phi])[0] == wv
+    if wv is None:
+        wv = _tables.word_values(w, G, phi.d, budget)
+    return _hom_values(G.mul, [phi])[0] == wv
 
 
 def agreement_count(
@@ -272,20 +265,23 @@ def best_agreement(
     w: Word, G: GroupTable, d: int,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     iter_budget: int = _tables.DEFAULT_TABLE_BUDGET,
+    wv: np.ndarray | None = None,
 ) -> tuple[Fraction, Hom]:
     """Maximum agreement proportion over all homs G^d -> G, with a witness.
 
     Ties go to the earliest hom in enumeration order, so the witness is
     deterministic.  Scoring compares every hom with w on all of G^d, and
-    that many cells must fit ``iter_budget``.
+    that many cells must fit ``iter_budget``.  ``wv`` is as in
+    ``agreement_set``.
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
     homs = homs_power(G, d, hom_budget)
     size = G.n ** d
     _tables.check_table_budget(len(homs) * size, iter_budget)
-    wv = _tables.word_values(w, G, d, iter_budget)
-    M = G.mul_array()
+    if wv is None:
+        wv = _tables.word_values(w, G, d, iter_budget)
+    M = G.mul
     step = max(1, BLOCK_CELLS // size)
     counts = np.concatenate([
         (_hom_values(M, homs[lo:lo + step]) == wv).sum(axis=1)

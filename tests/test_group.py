@@ -1,6 +1,6 @@
-import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wordmaplab.errors import BudgetExceededError
@@ -20,7 +20,6 @@ from wordmaplab.group import (
     element_power,
     is_abelian,
     parse_cycles,
-    perm_compose,
     power_table,
     quaternion,
     symmetric,
@@ -93,10 +92,8 @@ def test_closure_order_is_generator_dependent_but_valid():
 
 
 def test_perm_compose_order():
-    # apply q first, then p (tuples must share a degree)
-    p = parse_cycles("(1 2)") + (2,)
-    q = parse_cycles("(2 3)")
-    assert perm_compose(p, q) == parse_cycles("(1 2 3)")
+    # in a product of cycles the leftmost one acts first
+    assert parse_cycles("(2 3)(1 2)") == parse_cycles("(1 2 3)")
 
 
 def test_perm_spec():
@@ -135,15 +132,15 @@ def test_direct_product_layout():
 
 def test_validation_catches_corruption():
     G = cyclic(4)
-    bad = copy.deepcopy(G)
-    bad.mul[1][2] = 1  # duplicates inside a row
-    bad._np_mul = None
+    mul = G.mul.copy()
+    mul[1, 2] = 1  # duplicates inside a row
+    bad = GroupTable(n=4, mul=mul, inv=G.inv, labels=G.labels)
     with pytest.raises(ValueError, match="Latin"):
         validate_table(bad)
 
-    bad = copy.deepcopy(G)
-    bad.inv[1] = 1
-    bad._np_inv = None
+    inv = G.inv.copy()
+    inv[1] = 1
+    bad = GroupTable(n=4, mul=G.mul, inv=inv, labels=G.labels)
     with pytest.raises(ValueError, match="inv"):
         validate_table(bad)
 
@@ -175,7 +172,10 @@ def test_element_power():
         assert element_power(G, g, 0) == 0
         assert element_power(G, g, -1) == G.inv[g]
         assert element_power(G, g, -2) == G.inv[element_power(G, g, 2)]
-    assert power_table(G, 2) == [element_power(G, g, 2) for g in range(G.n)]
+    for e in (-3, -1, 0, 1, 2, 5):
+        assert power_table(G, e).tolist() == [
+            element_power(G, g, e) for g in range(G.n)
+        ]
 
 
 def test_centralizers_in_s3():
@@ -224,3 +224,110 @@ def test_spec_tolerates_spaces():
     G = build("C2x C2")
     assert G.n == 4
     assert G.name == "C2xC2"
+
+
+# -- the array constructors against plain-loop oracles ------------------------
+
+def _queue_closure(generators):
+    """Queue BFS closure of permutation tuples: ids in discovery order, each
+    element right-multiplied by every generator in turn, (p q)[i] = p[q[i]]."""
+    degree = max((len(g) for g in generators), default=1)
+    gens = [tuple(g) + tuple(range(len(g), degree)) for g in generators]
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    pos = 0
+    while pos < len(elems):
+        e = elems[pos]
+        pos += 1
+        for g in gens:
+            h = tuple(map(e.__getitem__, g))
+            if h not in index:
+                index[h] = len(elems)
+                elems.append(h)
+    mul = [[index[tuple(map(a.__getitem__, b))] for b in elems]
+           for a in elems]
+    return elems, mul
+
+
+def _loop_inverses(mul):
+    return [row.index(0) for row in mul]
+
+
+def _loop_product(A, B):
+    """Nested-loop direct product table, id of (a, b) is a * B.n + b."""
+    am, bm = A.mul.tolist(), B.mul.tolist()
+    return [[am[a1][a2] * B.n + bm[b1][b2]
+             for a2 in range(A.n) for b2 in range(B.n)]
+            for a1 in range(A.n) for b1 in range(B.n)]
+
+
+def _cycles(p):
+    """Cycle notation of a permutation tuple, 'e' for the identity."""
+    seen, parts = set(), []
+    for i in range(len(p)):
+        if i in seen or p[i] == i:
+            continue
+        cyc, j = [i], p[i]
+        seen.add(i)
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = p[j]
+        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
+    return "".join(parts) or "e"
+
+
+CLOSURE_ORACLE = {
+    "S4": ["(1 2)", "(1 2 3 4)"],
+    "A5": ["(1 2 3)", "(2 3 4)", "(3 4 5)"],
+    "S6": ["(1 2)", "(1 2 3 4 5 6)"],
+    "perm:(1 2 3)(4 5),(1 4)": ["(1 2 3)(4 5)", "(1 4)"],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLOSURE_ORACLE))
+def test_closure_matches_queue_oracle(spec):
+    G = build(spec)
+    elems, mul = _queue_closure(
+        [parse_cycles(c) for c in CLOSURE_ORACLE[spec]]
+    )
+    assert G.n == len(elems)
+    assert G.mul.tolist() == mul
+    assert G.inv.tolist() == _loop_inverses(mul)
+    assert G.labels == [_cycles(p) for p in elems]
+
+
+def test_direct_product_matches_loop_oracle():
+    A, B = cyclic(6), symmetric(3)
+    G = build("C6xS3")
+    mul = _loop_product(A, B)
+    assert G.mul.tolist() == mul
+    assert G.inv.tolist() == _loop_inverses(mul)
+    assert G.labels == [f"({a},{b})" for a in A.labels for b in B.labels]
+
+
+def test_light_test_rejects_large_loop():
+    # The order-5 loop of test_validation_catches_corruption times C16: a
+    # non-associative Latin square of order 80 with identity and inverses.
+    loop = np.array([
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ])
+    C = cyclic(16)
+    mul = loop[:, None, :, None] * 16 + C.mul[None, :, None, :]
+    mul = mul.reshape(80, 80)
+    q = GroupTable(n=80, mul=mul, inv=np.argmax(mul == 0, axis=1),
+                   labels=[str(i) for i in range(80)])
+    with pytest.raises(ValueError, match="associative"):
+        validate_table(q)
+
+
+def test_tables_are_read_only():
+    G = build("S3")
+    assert not G.mul.flags.writeable
+    assert not G.inv.flags.writeable
+    with pytest.raises(ValueError):
+        G.mul[0, 0] = 1
