@@ -28,7 +28,7 @@ from .bounds import BoundTriple, commuting_bound, f as bound_triple
 from .errors import BudgetExceededError
 from .freeword import Word, derived_word, reduce
 from .group import GroupTable, commuting_probability, power_table
-from .homset import Hom, agreement_set, best_agreement
+from .homset import agreement_set, best_agreement
 from .rng import derive_seed, randbelow_block
 
 DEFAULT_ITER_BUDGET = 1_000_000_000
@@ -400,22 +400,22 @@ def verify_theorem(
     iter_budget: int = DEFAULT_ITER_BUDGET,
     table_budget: int = DEFAULT_TABLE_BUDGET,
     workers: int = 1,
-    hom: Hom | None = None,
+    hom: np.ndarray | None = None,
 ) -> TheoremReport:
     """Measure rho*, evaluate the bound, and check the census against it.
 
     With ``samples=None`` the census is exact (a budget overrun is an error);
     otherwise the sampled mean is compared against the required density and
-    the report's census mode says so.  ``hom`` skips the hom-set search and
-    scores the given homomorphism instead.
+    the report's census mode says so.  ``hom``, a (d, n) component table,
+    skips the hom-set search and scores that homomorphism instead.
     """
     if d is None:
         d = max(w.arity, 1)
     n = G.n
     size = n ** d
     space = size ** 3
-    if hom is not None and hom.d != d:
-        raise ValueError(f"hom has d = {hom.d}, expected {d}")
+    if hom is not None and len(hom) != d:
+        raise ValueError(f"hom has d = {len(hom)}, expected {d}")
     # One word table serves the hom scoring, the agreement set and the census.
     wv = _tables.word_values(w, G, d, table_budget)
     if hom is not None:

@@ -135,7 +135,8 @@ def _parse_word(cfg: RunConfig):
     return parse_word(cfg.word)
 
 
-def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> homset.Hom:
+def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> np.ndarray:
+    """The (d, n) component table of the hom in ``cfg.hom_file``."""
     with open(cfg.hom_file) as fh:
         data = json.load(fh)
     comps = data.get("components") if isinstance(data, dict) else None
@@ -143,24 +144,23 @@ def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> homset.Hom:
         raise ValueError(
             f'hom file must be an object with "components": {d} tables'
         )
-    endos = []
     for tab in comps:
         if not isinstance(tab, list) or len(tab) != G.n or not all(
             isinstance(v, int) and 0 <= v < G.n for v in tab
         ):
             raise ValueError("component tables must be lists of n element ids")
-        values = np.asarray(tab, dtype=np.int64)
+    phi = np.array(comps, dtype=np.int64)
+    for values in phi:
         if not homset._full_hom_check(G.mul, values):
             raise ValueError("component table is not an endomorphism")
-        endos.append(homset.Endo(values=tuple(tab)))
     commutes = G.mul == G.mul.T
     for i in range(d):
         for j in range(i + 1, d):
-            if not commutes[np.ix_(endos[i].image(), endos[j].image())].all():
+            if not commutes[np.ix_(phi[i], phi[j])].all():
                 raise ValueError(
                     f"components {i} and {j} have non-commuting images"
                 )
-    return homset.Hom(d=d, components=tuple(endos))
+    return phi
 
 
 # -- subcommand bodies: each returns (results dict, all-passed flag) ----------
@@ -287,14 +287,13 @@ def _cmd_fiber_stats(cfg: RunConfig):
 def _cmd_hom_search(cfg: RunConfig):
     G = _build_group(cfg)
     d = cfg.d if cfg.d is not None else 1
-    endos = homset.endomorphisms(G, cfg.budget_hom)
-    autos = [e for e in endos if e.is_bijective()]
+    endos, tuples = homset.homs_power(G, d, cfg.budget_hom)
     results = {
         "group": G.name,
         "d": d,
         "endomorphisms": len(endos),
-        "automorphisms": len(autos),
-        "homs": len(homset.homs_power(G, d, cfg.budget_hom)),
+        "automorphisms": int(homset._bijective(endos).sum()),
+        "homs": len(tuples),
     }
     if cfg.word is not None:
         w = _parse_word(cfg)
@@ -305,9 +304,7 @@ def _cmd_hom_search(cfg: RunConfig):
         )
         results["word"] = str(w)
         results["best_agreement"] = rat_str(rho)
-        results["witness_components"] = [
-            list(c.values) for c in phi.components
-        ]
+        results["witness_components"] = phi.tolist()
     return {"homs": results}, True
 
 
@@ -376,26 +373,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=ns.subcommand,
-        group=ns.group,
-        word=ns.word,
-        d=ns.d,
-        e=ns.e,
-        exact=ns.samples is None,
-        samples=ns.samples,
-        seed=ns.seed,
-        budget_iter=ns.budget_iter,
-        budget_hom=ns.budget_hom,
-        budget_order=ns.budget_order,
-        budget_table=ns.budget_table,
-        workers=ns.workers,
-        format=ns.format,
-        out=ns.out,
-        fuzz=ns.fuzz,
-        family_file=ns.family_file,
-        hom_file=ns.hom_file,
-    )
+    return RunConfig(**{**vars(ns), "exact": ns.samples is None})
 
 
 def _render_text(report: dict) -> str:

@@ -25,6 +25,11 @@ from .errors import BudgetExceededError
 
 DEFAULT_ORDER_BUDGET = 2000
 
+# Table cells per row block of Light's associativity test in
+# ``validate_table``, so that validation needs a fixed amount of working
+# memory on top of the table it checks.
+ASSOC_BLOCK_CELLS = 1 << 18
+
 
 class GroupSpecError(ValueError):
     """Malformed or unsupported group spec text."""
@@ -66,7 +71,8 @@ def validate_table(G: GroupTable) -> None:
     0 g_a g_b ... (right-multiplied from the identity, left to right).  Every
     reached element is a product of elements of T, so once each generator
     passes the test, every element lies in T and the table is associative.
-    The check costs O(k n^2) for k generators, and k <= log2 n for a group.
+    The check costs O(k n^2) for k generators, and k <= log2 n for a group;
+    it compares a block of rows at a time.
     """
     n = G.n
     if n < 1:
@@ -88,11 +94,13 @@ def validate_table(G: GroupTable) -> None:
         raise ValueError("element 0 is not the identity")
     if not (M[ids, inv] == 0).all() or not (M[inv, ids] == 0).all():
         raise ValueError("inv table is wrong")
+    rows = max(1, ASSOC_BLOCK_CELLS // n)
     for g in greedy_generators(G):
-        # row x, column y: (x g) y against x (g y)
-        if not np.array_equal(np.take(M, M[:, g], axis=0),
-                              np.take(M, M[g], axis=1)):
-            raise ValueError("multiplication is not associative")
+        for lo in range(0, n, rows):
+            # row x, column y: (x g) y against x (g y)
+            block = M[lo:lo + rows]
+            if not np.array_equal(M[block[:, g]], block[:, M[g]]):
+                raise ValueError("multiplication is not associative")
     orders = element_orders(G)
     bad = np.flatnonzero(n % orders)
     if bad.size:
@@ -368,14 +376,6 @@ def element_orders(G: GroupTable) -> np.ndarray:
         keep = acc != 0
         live, acc = live[keep], acc[keep]
     return orders
-
-
-def element_order(G: GroupTable, g: int) -> int:
-    k, acc = 1, g
-    while acc != 0:
-        acc = G.mul.item(acc, g)
-        k += 1
-    return k
 
 
 def element_power(G: GroupTable, g: int, e: int) -> int:

@@ -1,9 +1,12 @@
 """Endomorphisms of G and homomorphisms G^d -> G, with agreement counts.
 
+An endomorphism is its value table, a row of n element ids indexed by
+argument id; ``endomorphisms`` returns them as one (k, n) int64 array.
 Homomorphisms out of a direct power are stored componentwise: a d-tuple of
-endomorphisms whose images commute elementwise.  Every homomorphism
-G^d -> G arises from exactly one such tuple (restrict to the d embedded
-copies of G), so enumerating these tuples enumerates the whole hom set.
+endomorphisms whose images commute elementwise, held as d row indices into
+that array.  Every homomorphism G^d -> G arises from exactly one such tuple
+(restrict to the d embedded copies of G), so enumerating these tuples
+enumerates the whole hom set.  A single hom is its (d, n) component table.
 
 Agreement counts compare a homomorphism with the evaluation map of a word w
 over G^d; ``best_agreement`` maximises the agreement proportion over the full
@@ -27,42 +30,6 @@ DEFAULT_CANDIDATE_BUDGET = 10_000_000
 # Array cells per block of endomorphism candidates, pair-table rows or
 # scored homs, so that working memory stays flat as the search grows.
 BLOCK_CELLS = 1 << 17
-
-
-@dataclass(frozen=True)
-class Endo:
-    """An endomorphism as its full value table (index = argument id)."""
-
-    values: tuple[int, ...]
-
-    def __call__(self, g: int) -> int:
-        return self.values[g]
-
-    def is_bijective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.values)))
-
-
-@dataclass(frozen=True)
-class Hom:
-    """A homomorphism G^d -> G as d componentwise endomorphisms."""
-
-    d: int
-    components: tuple[Endo, ...]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if len(self.components) != self.d:
-            raise ValueError("need exactly d components")
-
-    def __call__(self, G: GroupTable, tup) -> int:
-        acc = 0
-        for i in range(self.d):
-            acc = G.mul.item(acc, self.components[i](tup[i]))
-        return acc
 
 
 @dataclass(frozen=True)
@@ -124,8 +91,9 @@ def _full_hom_check(M: np.ndarray, values: np.ndarray) -> bool:
 
 def endomorphisms(
     G: GroupTable, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> list[Endo]:
-    """All endomorphisms, in candidate-image order.
+) -> np.ndarray:
+    """All endomorphisms as a read-only (k, n) table of value rows, in
+    candidate-image order.
 
     Candidates assign images to the greedy generators g_1, ..., g_k in
     itertools.product order over element ids (g_1's image most significant).
@@ -164,21 +132,37 @@ def endomorphisms(
         for j in range(k):
             ok = (vals[right[:, j]] == M[vals, images[j]]).all(axis=0)
             vals, images = vals[:, ok], images[:, ok]
-        out.extend(Endo(values=tuple(row)) for row in vals.T.tolist())
-    return out
+        out.append(vals.T)
+    table = np.concatenate(out)
+    table.flags.writeable = False
+    return table
+
+
+def _bijective(endos: np.ndarray) -> np.ndarray:
+    """Row mask of the automorphisms in an endomorphism table.  An
+    endomorphism of a finite group is bijective exactly when its kernel is
+    trivial, that is, when 0 is the only element it sends to 0."""
+    return (endos == 0).sum(axis=1) == 1
 
 
 def automorphisms(
     G: GroupTable, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> list[Endo]:
-    return [e for e in endomorphisms(G, budget) if e.is_bijective()]
+) -> np.ndarray:
+    """The rows of ``endomorphisms(G)`` that are bijective, in order."""
+    endos = endomorphisms(G, budget)
+    return endos[_bijective(endos)]
 
 
 def homs_power(
     G: GroupTable, d: int, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> list[Hom]:
-    """All homomorphisms G^d -> G, as commuting d-tuples of endomorphisms,
-    in itertools.product order over the endomorphism list."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """All homomorphisms G^d -> G, as commuting d-tuples of endomorphisms.
+
+    Returns ``(endos, tuples)``: the table of ``endomorphisms(G)`` and an
+    (m, d) int64 array of row indices into it, one row per hom, in
+    itertools.product order over the rows of ``endos``.  Hom i is the (d, n)
+    component table ``endos[tuples[i]]``.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     endos = endomorphisms(G, budget)
@@ -188,15 +172,14 @@ def homs_power(
             f"hom enumeration needs {k ** d} tuples, budget {budget}"
         )
     if d == 1:
-        return [Hom(d=1, components=(e,)) for e in endos]
+        return endos, np.arange(k, dtype=np.int64)[:, None]
     # pair_ok[i, j]: the images of endos i and j commute elementwise, that
     # is, no non-commuting pair (a, b) lies in im_i x im_j.  The matmul counts
     # such pairs over 0/1 image indicators; every count is an integer of at
     # most n^2, so float64 arithmetic is exact.
     M = G.mul
-    table = np.array([e.values for e in endos], dtype=np.int64)
     ind = np.zeros((k, G.n))
-    np.put_along_axis(ind, table, 1.0, axis=1)
+    np.put_along_axis(ind, endos, 1.0, axis=1)
     left = ind @ (M != M.T).astype(np.float64)
     pair_ok = np.empty((k, k), dtype=bool)
     step = max(1, BLOCK_CELLS // k)
@@ -217,20 +200,17 @@ def homs_power(
             ok &= pair_ok[tuples[:, i]]
         rows, nxt = np.nonzero(ok)
         tuples = np.column_stack([tuples[rows], nxt])
-    return [Hom(d=d, components=tuple(endos[i] for i in row))
-            for row in tuples.tolist()]
+    return endos, tuples
 
 
-def _hom_values(M: np.ndarray, homs: list[Hom]) -> np.ndarray:
-    """Values of each hom on every tuple of G^d: shape (len(homs), n^d),
-    each row in index order.
+def _hom_values(M: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """Values on every tuple of G^d of each hom in an (h, d, n) block of
+    component tables: shape (h, n^d), each row in index order.
 
     One broadcast gather per coordinate serves the whole block: after j
     coordinates, vals[b, g_1, ..., g_j] = c_1(g_1) ... c_j(g_j) for the
     components c_1, ..., c_j of hom b.
     """
-    comps = np.array([[c.values for c in phi.components] for phi in homs],
-                     dtype=np.int64)
     h, d, n = comps.shape
     vals = comps[:, 0]
     for i in range(1, d):
@@ -240,22 +220,29 @@ def _hom_values(M: np.ndarray, homs: list[Hom]) -> np.ndarray:
 
 
 def agreement_set(
-    w: Word, G: GroupTable, phi: Hom,
+    w: Word, G: GroupTable, phi: np.ndarray,
     budget: int = _tables.DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Boolean flags over G^d marking tuples where phi and w agree.  ``wv``
-    is the word table ``_tables.word_values(w, G, phi.d)`` when the caller
-    already has it."""
-    if w.arity > phi.d:
-        raise ValueError(f"word uses x{w.arity} but hom has d = {phi.d}")
+    """Boolean flags over G^d marking tuples where w agrees with the hom
+    whose (d, n) component table is ``phi``.  ``wv`` is the word table
+    ``_tables.word_values(w, G, d)`` when the caller already has it."""
+    phi = np.asarray(phi, dtype=np.int64)
+    if phi.ndim != 2 or len(phi) < 1 or phi.shape[1] != G.n:
+        raise ValueError(
+            f"hom must be a (d, {G.n}) component table with d >= 1, "
+            f"got shape {phi.shape}"
+        )
+    d = len(phi)
+    if w.arity > d:
+        raise ValueError(f"word uses x{w.arity} but hom has d = {d}")
     if wv is None:
-        wv = _tables.word_values(w, G, phi.d, budget)
-    return _hom_values(G.mul, [phi])[0] == wv
+        wv = _tables.word_values(w, G, d, budget)
+    return _hom_values(G.mul, phi[None])[0] == wv
 
 
 def agreement_count(
-    w: Word, G: GroupTable, phi: Hom,
+    w: Word, G: GroupTable, phi: np.ndarray,
     budget: int = _tables.DEFAULT_TABLE_BUDGET,
 ) -> int:
     return int(agreement_set(w, G, phi, budget).sum())
@@ -266,8 +253,9 @@ def best_agreement(
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     iter_budget: int = _tables.DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
-) -> tuple[Fraction, Hom]:
-    """Maximum agreement proportion over all homs G^d -> G, with a witness.
+) -> tuple[Fraction, np.ndarray]:
+    """Maximum agreement proportion over all homs G^d -> G, with a witness:
+    the (d, n) component table of the earliest hom that attains it.
 
     Ties go to the earliest hom in enumeration order, so the witness is
     deterministic.  Scoring compares every hom with w on all of G^d, and
@@ -276,19 +264,19 @@ def best_agreement(
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
-    homs = homs_power(G, d, hom_budget)
+    endos, tuples = homs_power(G, d, hom_budget)
     size = G.n ** d
-    _tables.check_table_budget(len(homs) * size, iter_budget)
+    _tables.check_table_budget(len(tuples) * size, iter_budget)
     if wv is None:
         wv = _tables.word_values(w, G, d, iter_budget)
     M = G.mul
     step = max(1, BLOCK_CELLS // size)
     counts = np.concatenate([
-        (_hom_values(M, homs[lo:lo + step]) == wv).sum(axis=1)
-        for lo in range(0, len(homs), step)
+        (_hom_values(M, endos[tuples[lo:lo + step]]) == wv).sum(axis=1)
+        for lo in range(0, len(tuples), step)
     ])
     best = int(np.argmax(counts))  # argmax returns the first of any ties
-    return Fraction(int(counts[best]), size), homs[best]
+    return Fraction(int(counts[best]), size), endos[tuples[best]]
 
 
 def power_agreement_profile(
@@ -297,12 +285,7 @@ def power_agreement_profile(
 ) -> Fraction:
     """Best agreement proportion of the e-th power map with a single
     endomorphism (or automorphism) of G."""
-    w = reduce([(1, e)])
-    wv = _tables.word_values(w, G, 1)
+    wv = _tables.word_values(reduce([(1, e)]), G, 1)
     pool = automorphisms(G, budget) if automorphisms_only \
         else endomorphisms(G, budget)
-    best = 0
-    for endo in pool:
-        c = int((np.asarray(endo.values, dtype=np.int64) == wv).sum())
-        best = max(best, c)
-    return Fraction(best, G.n)
+    return Fraction(int((pool == wv).sum(axis=1).max()), G.n)

@@ -78,3 +78,16 @@ def brute_force_endos(G):
         ):
             out.append(vals)
     return out
+
+
+def hom_value_table(G, comps):
+    """Values of the hom G^d -> G with component tables ``comps`` (d lists
+    of n ids) on every tuple of G^d, in index order, by plain loops."""
+    mul = G.mul.tolist()
+    out = []
+    for tup in itertools.product(range(G.n), repeat=len(comps)):
+        acc = 0
+        for c, g in zip(comps, tup):
+            acc = mul[acc][c[g]]
+        out.append(acc)
+    return tuple(out)

@@ -24,7 +24,8 @@ from wordmaplab.group import commuting_probability, is_abelian
 from wordmaplab.homset import homs_power, power_agreement_profile
 from wordmaplab.rng import SplitMix64
 
-from conftest import BATTERY_SPECS, EXTENDED_SPECS, naive_census
+from conftest import (BATTERY_SPECS, EXTENDED_SPECS, hom_value_table,
+                      naive_census)
 
 WORDS = ["x1^2", "x1^3", "x1^-1", "x1^5", "x1*x2", "x1*x2*x1^-1*x2^-1"]
 
@@ -194,13 +195,8 @@ def test_c10_oracle_equivalence(groups):
     for spec, d in (("C2", 1), ("C2", 2), ("C3", 1), ("C3", 2), ("C4", 1),
                     ("C2xC2", 1)):
         G = groups[spec]
-        got = {
-            tuple(
-                phi(G, divmod(i, G.n) if d == 2 else (i,))
-                for i in range(G.n**d)
-            )
-            for phi in homs_power(G, d)
-        }
+        endos, tuples = homs_power(G, d)
+        got = {hom_value_table(G, endos[t].tolist()) for t in tuples}
         want = brute_force_homs(G, d)
         assert got == want, (spec, d)
         hom_cases.append(f"({spec},d={d})")
@@ -215,10 +211,11 @@ def brute_force_homs(G, d):
     P = G
     for _ in range(d - 1):
         P = direct_product(P, G)
+    pmul, mul = P.mul.tolist(), G.mul.tolist()
     out = set()
     for vals in itertools.product(range(G.n), repeat=P.n):
         if all(
-            vals[P.mul[a][b]] == G.mul[vals[a]][vals[b]]
+            vals[pmul[a][b]] == mul[vals[a]][vals[b]]
             for a in range(P.n) for b in range(P.n)
         ):
             out.add(vals)

@@ -23,7 +23,6 @@ from wordmaplab.census import (
 )
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import EMPTY, derived_word, parse_word
-from wordmaplab.homset import Endo, Hom
 from wordmaplab.rng import SplitMix64
 from wordmaplab._tables import evaluate_word, word_values
 
@@ -303,13 +302,12 @@ def test_verify_theorem_estimate_mode(groups):
 
 def test_verify_theorem_with_given_hom(groups):
     G = groups["C4"]
-    ident = Endo(values=(0, 1, 2, 3))
+    ident = [0, 1, 2, 3]
     rep = verify_theorem(parse_word("x1*x2"), G,
-                         hom=Hom(d=2, components=(ident, ident)))
+                         hom=np.array([ident, ident]))
     assert rep.rho == 1
     with pytest.raises(ValueError):
-        verify_theorem(parse_word("x1*x2"), G,
-                       hom=Hom(d=1, components=(ident,)))
+        verify_theorem(parse_word("x1*x2"), G, hom=np.array([ident]))
 
 
 def test_power_equation_count_oracle(groups):

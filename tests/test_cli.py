@@ -130,6 +130,16 @@ def test_hom_search(capsys):
     assert h["witness_components"] == [[0] * 6]
 
 
+def test_hom_search_witness_d2(capsys):
+    code, rep = run_json(capsys, ["hom-search", "--group", "C4", "--d", "2",
+                                  "--word", "x1*x2"])
+    assert code == 0
+    h = rep["results"]["homs"]
+    assert (h["endomorphisms"], h["automorphisms"], h["homs"]) == (4, 2, 16)
+    assert h["best_agreement"] == "1/1"
+    assert h["witness_components"] == [[0, 1, 2, 3], [0, 1, 2, 3]]
+
+
 def test_commuting_probability(capsys):
     code, rep = run_json(capsys, ["commuting-probability", "--group", "D4"])
     assert code == 0
@@ -175,6 +185,20 @@ def test_hom_file(tmp_path, capsys):
     hom.write_text(json.dumps({"components": [7, [0, 1, 2, 3]]}))
     assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1*x2",
                     "--d", "2", "--hom", str(hom)]) == 2  # non-list entry
+
+
+def test_hom_file_non_commuting_images(tmp_path, capsys):
+    # Two endomorphisms of S3 whose images do not commute elementwise are
+    # not the components of a hom S3^2 -> S3.
+    hom = tmp_path / "hom.json"
+    ident, trivial = list(range(6)), [0] * 6
+    argv = ["verify-theorem", "--group", "S3", "--word", "x1*x2", "--d", "2",
+            "--hom", str(hom)]
+    hom.write_text(json.dumps({"components": [ident, ident]}))
+    assert cli.run(argv) == 2
+    assert "non-commuting images" in capsys.readouterr().err
+    hom.write_text(json.dumps({"components": [ident, trivial]}))
+    assert cli.run(argv) == 0
 
 
 def test_text_format(capsys):

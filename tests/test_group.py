@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wordmaplab import group
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.group import (
     GroupSpecError,
@@ -16,7 +17,7 @@ from wordmaplab.group import (
     cyclic,
     dihedral,
     direct_product,
-    element_order,
+    element_orders,
     element_power,
     is_abelian,
     parse_cycles,
@@ -59,8 +60,9 @@ def test_quaternion_relations():
     assert G.labels[G.mul[i][j]] == "k"
     assert G.labels[G.mul[j][i]] == "-k"
     assert G.labels[G.mul[i][i]] == "-1"
-    assert element_order(G, at["-1"]) == 2
-    assert element_order(G, i) == element_order(G, j) == element_order(G, k) == 4
+    orders = element_orders(G)
+    assert orders[at["-1"]] == 2
+    assert orders[i] == orders[j] == orders[k] == 4
 
 
 def test_dihedral_relations():
@@ -68,8 +70,8 @@ def test_dihedral_relations():
     # s r s = r^-1, with r = id 1 and s = id 4 in the fixed layout.
     r, s = 1, 4
     assert G.mul[G.mul[s][r]][s] == G.inv[r]
-    assert element_order(G, r) == 4
-    assert element_order(G, s) == 2
+    assert element_orders(G)[r] == 4
+    assert element_orders(G)[s] == 2
 
 
 def test_closure_and_parse_cycles():
@@ -100,7 +102,7 @@ def test_perm_spec():
     G = build("perm:(1 2)(3 4),(1 3)(2 4)")
     assert G.n == 4
     assert is_abelian(G)
-    assert sorted(element_order(G, g) for g in range(4)) == [1, 2, 2, 2]
+    assert sorted(element_orders(G)[g] for g in range(4)) == [1, 2, 2, 2]
 
 
 def test_bad_specs():
@@ -127,7 +129,7 @@ def test_direct_product_layout():
     assert G.n == 6
     # (a, b) -> a * |B| + b
     assert G.mul[1 * 3 + 1][1 * 3 + 2] == ((1 + 1) % 2) * 3 + (1 + 2) % 3
-    assert sorted(element_order(G, g) for g in range(6)) == [1, 2, 3, 3, 6, 6]
+    assert sorted(element_orders(G)[g] for g in range(6)) == [1, 2, 3, 3, 6, 6]
 
 
 def test_validation_catches_corruption():
@@ -306,9 +308,11 @@ def test_direct_product_matches_loop_oracle():
     assert G.labels == [f"({a},{b})" for a in A.labels for b in B.labels]
 
 
-def test_light_test_rejects_large_loop():
+def test_light_test_rejects_large_loop(monkeypatch):
     # The order-5 loop of test_validation_catches_corruption times C16: a
     # non-associative Latin square of order 80 with identity and inverses.
+    # Row 0 (the identity) never fails, so with one row per block a test
+    # that skipped later blocks would pass the loop.
     loop = np.array([
         [0, 1, 2, 3, 4],
         [1, 0, 3, 4, 2],
@@ -321,8 +325,11 @@ def test_light_test_rejects_large_loop():
     mul = mul.reshape(80, 80)
     q = GroupTable(n=80, mul=mul, inv=np.argmax(mul == 0, axis=1),
                    labels=[str(i) for i in range(80)])
-    with pytest.raises(ValueError, match="associative"):
-        validate_table(q)
+    for cells in (80, 7 * 80, group.ASSOC_BLOCK_CELLS):
+        monkeypatch.setattr(group, "ASSOC_BLOCK_CELLS", cells)
+        with pytest.raises(ValueError, match="associative"):
+            validate_table(q)
+        validate_table(build("C5xC16"))
 
 
 def test_tables_are_read_only():
