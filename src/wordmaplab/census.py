@@ -243,27 +243,33 @@ def estimate_solutions(
     size = n ** d
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
-    M, inv = G.mul, G.inv
-    rads = np.asarray(_tables.radices(n, d), dtype=np.int64)
+    # Flat tables: mul[a*n + b] = ab and quot[a*n + b] = a^-1 b.
+    mul = G.mul.ravel()
+    quot = G.mul[G.inv].ravel()
+
+    def index(coords: np.ndarray) -> np.ndarray:
+        """Mixed-radix index of the tuples whose coordinates are the rows."""
+        out = coords[0]
+        for c in coords[1:]:
+            out = out * n
+            out += c
+        return out
 
     def run_chunk(chunk: tuple[int, int]) -> int:
         i, m = chunk
         draws = randbelow_block(derive_seed(seed, i), n, m * 3 * d)
-        coords = draws.reshape(m, 3 * d)
-        s, t, u = coords[:, :d], coords[:, d:2 * d], coords[:, 2 * d:]
-        idx = np.zeros(m, dtype=np.int64)
-        s_idx = np.zeros(m, dtype=np.int64)
-        t_idx = np.zeros(m, dtype=np.int64)
-        u_idx = np.zeros(m, dtype=np.int64)
-        for i_ in range(d):
-            q = M[inv[s[:, i_]], t[:, i_]]
-            idx += M[q, u[:, i_]] * rads[i_]
-            s_idx += s[:, i_] * rads[i_]
-            t_idx += t[:, i_] * rads[i_]
-            u_idx += u[:, i_] * rads[i_]
-        lhs = wv[idx]
-        rhs = M[M[inv[wv[s_idx]], wv[t_idx]], wv[u_idx]]
-        return int((lhs == rhs).sum())
+        # Row j holds coordinate j of every sample, contiguously.
+        cols = draws.reshape(m, 3 * d).T.copy()
+        s, t, u = cols[:d], cols[d:2 * d], cols[2 * d:]
+        # s^-1 t u, one coordinate per row.
+        stu = quot[s * n + t]
+        stu *= n
+        stu += u
+        lhs = wv[index(mul[stu])]
+        rhs = quot[wv[index(s)] * n + wv[index(t)]]
+        rhs *= n
+        rhs += wv[index(u)]
+        return int(np.count_nonzero(lhs == mul[rhs]))
 
     chunks = [
         (i, min(CHUNK, samples - i * CHUNK))

@@ -300,7 +300,7 @@ def _cmd_hom_search(cfg: RunConfig):
         if w.arity > d:
             raise ValueError(f"word uses x{w.arity} but --d is {d}")
         rho, phi = homset.best_agreement(
-            w, G, d, cfg.budget_hom, cfg.budget_table
+            w, G, d, cfg.budget_hom, cfg.budget_table, homs=(endos, tuples)
         )
         results["word"] = str(w)
         results["best_agreement"] = rat_str(rho)

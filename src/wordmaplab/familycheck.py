@@ -4,8 +4,8 @@ An instance is a family of subsets M_1..M_I of a ground set X with
 |M_i| >= rho |X| and I >= rho |X|.  The guarantee under test: at least
 f1(rho) |X|^2 ordered index pairs (diagonal included) have
 |M_i ∩ M_j| >= f2(rho) |X|.  ``verify_lemma`` measures the exact pair count;
-``random_family`` and ``adversarial_families`` supply fuzz and boundary
-instances.  Instances round-trip through a one-set-per-line text format.
+``random_family`` (seeded, vectorized partial Fisher-Yates) and
+``adversarial_families`` supply fuzz and boundary instances.  Instances round-trip through a one-set-per-line text format.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import check_rho, f1, f2, parse_rat, rat_str
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, randbelow_rows
 
 
 class InfeasibleParametersError(ValueError):
@@ -83,8 +83,10 @@ def verify_lemma(inst: FamilyInstance) -> LemmaReport:
     """Count ordered index pairs whose overlap reaches f2(rho) |X|."""
     rho = inst.rho
     thr = f2(rho) * inst.x_size
-    m = inst.sets.astype(np.int64)
-    overlap = m @ m.T
+    # A float64 product runs in BLAS and is exact here: every overlap is an
+    # integer of at most |X| < 2**53.
+    m = inst.sets.astype(np.float64)
+    overlap = (m @ m.T).astype(np.int64)
     qualifying = int(
         (overlap * thr.denominator >= thr.numerator).sum()
     )
@@ -102,7 +104,13 @@ def verify_lemma(inst: FamilyInstance) -> LemmaReport:
 def random_family(
     x_size: int, i_size: int, rho, seed: int
 ) -> FamilyInstance:
-    """Family of i_size uniform subsets of the minimum size ceil(rho |X|)."""
+    """Family of i_size uniform subsets of the minimum size k = ceil(rho |X|).
+
+    Set r is drawn by partial Fisher-Yates, and its j-th Fisher-Yates index
+    is the (r*k + j)-th accepted draw of ``SplitMix64(seed)``, reduced mod
+    |X| - j: the sets that i_size consecutive scalar samples from one stream
+    would give.  All sets are drawn as one block and swapped together.
+    """
     r = check_rho(rho)
     if x_size < 1:
         raise InfeasibleParametersError("need |X| >= 1")
@@ -110,11 +118,21 @@ def random_family(
         raise InfeasibleParametersError(
             f"i_size {i_size} below rho |X| = {r * x_size}"
         )
-    set_size = _ceil_frac(r * x_size)
-    rng = SplitMix64(seed)
+    k = _ceil_frac(r * x_size)
+    # One permutation of X per set, in a flat (i_size, |X|) table; swap[j]
+    # holds the flat positions that step j exchanges with column j.
+    offsets = randbelow_rows(seed, range(x_size, x_size - k, -1), i_size)
+    base = np.arange(i_size, dtype=np.int64)[:, None] * x_size
+    swap = (offsets + np.arange(k) + base).T.copy()
+    perm = np.empty((i_size, x_size), dtype=np.int64)
+    perm[:] = np.arange(x_size)
+    flat = perm.reshape(-1)
+    for j in range(k):
+        picked = flat[swap[j]]
+        flat[swap[j]] = perm[:, j]
+        perm[:, j] = picked
     sets = np.zeros((i_size, x_size), dtype=bool)
-    for i in range(i_size):
-        sets[i, rng.sample(x_size, set_size)] = True
+    sets[np.arange(i_size)[:, None], perm[:, :k]] = True
     return FamilyInstance(
         x_size=x_size, rho=r, sets=sets,
         label=f"random(x={x_size},i={i_size},rho={rat_str(r)},seed={seed})",

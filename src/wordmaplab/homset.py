@@ -253,6 +253,7 @@ def best_agreement(
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     iter_budget: int = _tables.DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
+    homs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Fraction, np.ndarray]:
     """Maximum agreement proportion over all homs G^d -> G, with a witness:
     the (d, n) component table of the earliest hom that attains it.
@@ -260,11 +261,14 @@ def best_agreement(
     Ties go to the earliest hom in enumeration order, so the witness is
     deterministic.  Scoring compares every hom with w on all of G^d, and
     that many cells must fit ``iter_budget``.  ``wv`` is as in
-    ``agreement_set``.
+    ``agreement_set``; ``homs`` is ``homs_power(G, d, hom_budget)`` when the
+    caller already has it.
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
-    endos, tuples = homs_power(G, d, hom_budget)
+    if homs is None:
+        homs = homs_power(G, d, hom_budget)
+    endos, tuples = homs
     size = G.n ** d
     _tables.check_table_budget(len(tuples) * size, iter_budget)
     if wv is None:

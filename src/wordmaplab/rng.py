@@ -6,6 +6,11 @@ standard SplitMix64 finalizer.  Counter mode makes scalar and vectorized
 generation produce identical streams, which keeps sampled results bit-for-bit
 reproducible across platforms and worker counts.  Nothing here depends on the
 stdlib ``random`` module or on floating point.
+
+``SplitMix64`` walks the stream one value at a time; ``u64_block``,
+``randbelow_block`` (one modulus) and ``randbelow_rows`` (a cycle of moduli,
+as partial Fisher-Yates needs) draw whole blocks and return exactly what the
+scalar ``randbelow`` calls would.
 """
 
 from __future__ import annotations
@@ -49,26 +54,34 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def sample(self, population: int, k: int) -> list[int]:
-        """k distinct integers from [0, population), by partial Fisher-Yates."""
-        if not 0 <= k <= population:
-            raise ValueError(f"cannot sample {k} from {population}")
-        swapped: dict[int, int] = {}
-        out = []
-        for i in range(k):
-            j = i + self.randbelow(population - i)
-            out.append(swapped.get(j, j))
-            swapped[j] = swapped.get(i, i)
-        return out
-
 
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Counter positions start..start+count-1 of the stream, vectorized."""
-    ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed) + ctr * np.uint64(GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """Counter positions start..start+count-1 of the stream, vectorized.
+
+    The mix runs in place on the counter array, with one scratch array for
+    the shifts.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _reduce(v: np.ndarray, n, out: np.ndarray) -> None:
+    """out = v mod n for uint64 arrays, as v - (v // n) * n: exact, equal to
+    ``v % n``, and about three times faster than numpy's uint64 ``%``.
+    ``out`` must not overlap ``v``."""
+    np.floor_divide(v, n, out=out)
+    out *= n
+    np.subtract(v, out, out=out)
 
 
 def randbelow_block(seed: int, n: int, count: int) -> np.ndarray:
@@ -76,24 +89,66 @@ def randbelow_block(seed: int, n: int, count: int) -> np.ndarray:
 
     The rule matches ``SplitMix64.randbelow`` exactly: walk counter positions
     in order, skip raw values >= the rejection limit, reduce the rest mod n.
-    Results are int64, so n is capped at 2**63.
+    A block whose largest raw value is below the limit, which is almost
+    every block, is reduced as drawn, with no rejection mask.  Results are
+    int64, so n is capped at 2**63.
     """
     if n <= 0:
         raise ValueError("randbelow needs n >= 1")
     if n > 1 << 63:
         raise ValueError("randbelow_block supports n up to 2**63")
-    limit = MASK64 + 1 - ((MASK64 + 1) % n)
-    out = np.empty(count, dtype=np.int64)
+    # Largest accepted raw value; 2**64 - 1 when n divides 2**64 and every
+    # value is accepted.
+    top = np.uint64(MASK64 - (MASK64 + 1) % n)
+    out = np.empty(count, dtype=np.uint64)
     got = 0
     pos = 0
     while got < count:
         m = (count - got) + 16
         block = u64_block(seed, pos, m)
         pos += m
-        # When n divides 2**64 every raw value is accepted and the limit
-        # (2**64 itself) does not fit in a uint64, so skip the comparison.
-        acc = block if limit > MASK64 else block[block < np.uint64(limit)]
-        take = min(count - got, acc.shape[0])
-        out[got:got + take] = (acc[:take] % np.uint64(n)).astype(np.int64)
-        got += take
-    return out
+        if block.max() > top:
+            block = block[block <= top]
+        acc = block[:count - got]
+        _reduce(acc, np.uint64(n), out[got:got + len(acc)])
+        got += len(acc)
+    return out.view(np.int64)
+
+
+def randbelow_rows(seed: int, moduli, rows: int) -> np.ndarray:
+    """``rows`` rounds of one draw below each of ``moduli``, vectorized, as
+    a (rows, k) int64 array for k moduli.
+
+    Entry (r, j) is what the (r*k + j)-th of consecutive
+    ``SplitMix64(seed).randbelow`` calls returns when call number i is made
+    with ``moduli[i % k]``.  Each modulus has its own rejection limit, so a
+    rejected raw value moves every later entry to the next counter position;
+    the draw loop then draws again from the entry that was rejected.  That
+    costs a block per rejection, which is rare for moduli far below 2**64;
+    a block whose largest raw value is below every limit skips the
+    per-entry comparison.
+    """
+    if not all(1 <= m <= 1 << 63 for m in moduli):
+        raise ValueError("randbelow_rows supports moduli in [1, 2**63]")
+    steps = np.array(moduli, dtype=np.uint64)
+    k = len(steps)
+    # Largest accepted raw value per modulus, as in ``randbelow_block``.
+    top = np.array([MASK64 - (MASK64 + 1) % m for m in moduli],
+                   dtype=np.uint64)
+    total = rows * k
+    raw = np.empty(total, dtype=np.uint64)
+    got = 0
+    pos = 0
+    while got < total:
+        block = u64_block(seed, pos, total - got)
+        if block.max() > top.min():
+            rejected = np.flatnonzero(block > top[np.arange(got, total) % k])
+            if rejected.size:
+                block = block[:rejected[0]]
+        raw[got:got + len(block)] = block
+        got += len(block)
+        # Step past the rejected value, if any; else the loop ends here.
+        pos += len(block) + 1
+    out = np.empty((rows, k), dtype=np.uint64)
+    _reduce(raw.reshape(rows, k), steps, out)
+    return out.view(np.int64)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from wordmaplab import build
+from wordmaplab.census import CHUNK
+from wordmaplab.rng import GOLDEN, MASK64, SplitMix64, derive_seed
 
 # The verification battery: every group spec used by the acceptance suite.
 BATTERY_SPECS = [
@@ -36,18 +39,24 @@ def extended_groups(groups):
     return out
 
 
+def evaluate_loops(w, mul, inv, tup):
+    """w at the assignment ``tup``, one multiplication at a time, over the
+    list tables ``mul`` and ``inv``."""
+    acc = 0
+    for var, exp in w.syllables:
+        x = tup[var - 1] if exp > 0 else inv[tup[var - 1]]
+        for _ in range(abs(exp)):
+            acc = mul[acc][x]
+    return acc
+
+
 def naive_census(w, G, d):
     """Solution count of the triple equation by direct double evaluation."""
     n = G.n
     mul, inv = G.mul.tolist(), G.inv.tolist()
 
     def evaluate(tup):
-        acc = 0
-        for var, exp in w.syllables:
-            x = tup[var - 1] if exp > 0 else inv[tup[var - 1]]
-            for _ in range(abs(exp)):
-                acc = mul[acc][x]
-        return acc
+        return evaluate_loops(w, mul, inv, tup)
 
     count = 0
     domain = list(itertools.product(range(n), repeat=d))
@@ -91,3 +100,75 @@ def hom_value_table(G, comps):
             acc = mul[acc][c[g]]
         out.append(acc)
     return tuple(out)
+
+
+def fisher_yates_sample(gen, population, k):
+    """k distinct integers from [0, population) by partial Fisher-Yates,
+    drawing from the scalar generator ``gen`` one step at a time."""
+    if not 0 <= k <= population:
+        raise ValueError(f"cannot sample {k} from {population}")
+    swapped = {}
+    out = []
+    for i in range(k):
+        j = i + gen.randbelow(population - i)
+        out.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return out
+
+
+def family_oracle(x_size, i_size, set_size, seed):
+    """Membership matrix of ``random_family``: i_size consecutive scalar
+    samples of set_size members from one ``SplitMix64(seed)`` stream."""
+    gen = SplitMix64(seed)
+    sets = np.zeros((i_size, x_size), dtype=bool)
+    for i in range(i_size):
+        sets[i, fisher_yates_sample(gen, x_size, set_size)] = True
+    return sets
+
+
+def estimator_hits(w, G, samples, seed, d):
+    """Hit count of the sampled census, one sample at a time: chunk i draws
+    its samples' 3d coordinates (s, then t, then u) from the scalar stream
+    ``SplitMix64(derive_seed(seed, i))`` and evaluates both sides of the
+    triple equation with plain loops."""
+    n = G.n
+    mul, inv = G.mul.tolist(), G.inv.tolist()
+
+    def evaluate(tup):
+        return evaluate_loops(w, mul, inv, tup)
+
+    hits = 0
+    for lo in range(0, samples, CHUNK):
+        gen = SplitMix64(derive_seed(seed, lo // CHUNK))
+        for _ in range(min(CHUNK, samples - lo)):
+            c = [gen.randbelow(n) for _ in range(3 * d)]
+            s, t, u = c[:d], c[d:2 * d], c[2 * d:]
+            stu = [mul[mul[inv[s[i]]][t[i]]][u[i]] for i in range(d)]
+            rhs = mul[mul[inv[evaluate(s)]][evaluate(t)]][evaluate(u)]
+            hits += evaluate(stu) == rhs
+    return hits
+
+
+C1 = 0xBF58476D1CE4E5B9
+C2 = 0x94D049BB133111EB
+
+
+def unxorshift(y: int, shift: int) -> int:
+    """x with x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """Inverse of mix64: undo each xorshift and multiply by the inverses of
+    the two odd constants mod 2**64."""
+    z = unxorshift(z, 31)
+    z = unxorshift(z * pow(C2, -1, 1 << 64) & MASK64, 27)
+    return unxorshift(z * pow(C1, -1, 1 << 64) & MASK64, 30)
+
+
+def seed_with_raw(value: int, position: int) -> int:
+    """A seed whose raw draw at counter position ``position`` is ``value``."""
+    return (unmix64(value) - (position + 1) * GOLDEN) & MASK64

@@ -21,12 +21,13 @@ from wordmaplab.census import (
     verify_theorem,
     word_map_table,
 )
+from wordmaplab import build
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import EMPTY, derived_word, parse_word
 from wordmaplab.rng import SplitMix64
 from wordmaplab._tables import evaluate_word, word_values
 
-from conftest import naive_census
+from conftest import estimator_hits, naive_census
 
 COMMUTATOR = "x1*x2*x1^-1*x2^-1"
 
@@ -164,6 +165,27 @@ def test_estimator_deterministic(groups):
     assert a.estimate_mean == b.estimate_mean == Fraction(633, 1250)
     assert a.ci_half_width == b.ci_half_width
     assert a.mode == "estimate" and a.seed == 0 and a.samples == 10_000
+
+
+def test_estimator_pinned_d2():
+    est = estimate_solutions(parse_word("x1*x2"), build("S4"), 20_000, 0, 2)
+    assert est.estimate_mean == Fraction(523, 5000)
+    assert est.ci_half_width == Fraction(26509130193, 6250000000000)
+
+
+@pytest.mark.parametrize("spec,text,d", [
+    ("S3", "x1^2", 1),
+    ("S4", "x1*x2", 2),
+    ("A4", "x1*x2^-1*x3^2", 3),
+])
+def test_estimator_matches_scalar_oracle(spec, text, d, groups):
+    # Sample counts that end in a partial chunk; d sets 3d draws a sample.
+    G = groups[spec] if spec in groups else build(spec)
+    w = parse_word(text)
+    for samples, seed in ((8193, 1), (20_000, 7)):
+        est = estimate_solutions(w, G, samples, seed, d)
+        hits = estimator_hits(w, G, samples, seed, d)
+        assert est.estimate_mean == Fraction(hits, samples), samples
 
 
 def test_estimator_covers_true_value(groups):

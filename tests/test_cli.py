@@ -140,6 +140,25 @@ def test_hom_search_witness_d2(capsys):
     assert h["witness_components"] == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
 
+def test_hom_search_enumerates_once(capsys, monkeypatch):
+    calls = []
+    homs_power = cli.homset.homs_power
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return homs_power(*args, **kwargs)
+
+    monkeypatch.setattr(cli.homset, "homs_power", counting)
+    code, rep = run_json(capsys, ["hom-search", "--group", "S3", "--d", "2",
+                                  "--word", "x1*x2"])
+    assert code == 0
+    assert len(calls) == 1
+    h = rep["results"]["homs"]
+    assert (h["endomorphisms"], h["homs"]) == (10, 22)
+    assert h["best_agreement"] == "1/3"
+    assert h["witness_components"] == [[0, 1, 0, 1, 1, 0]] * 2
+
+
 def test_commuting_probability(capsys):
     code, rep = run_json(capsys, ["commuting-probability", "--group", "D4"])
     assert code == 0

@@ -6,6 +6,8 @@ import pytest
 
 from wordmaplab.bounds import f2
 from wordmaplab.familycheck import (
+    FUZZ_RHOS,
+    FUZZ_X_SIZES,
     FamilyInstance,
     InfeasibleParametersError,
     adversarial_families,
@@ -15,6 +17,13 @@ from wordmaplab.familycheck import (
     save_family,
     verify_lemma,
 )
+from wordmaplab.rng import MASK64, derive_seed
+
+from conftest import family_oracle, seed_with_raw
+
+
+def min_set_size(inst):
+    return -((-inst.rho.numerator * inst.x_size) // inst.rho.denominator)
 
 
 def windows_instance():
@@ -100,6 +109,32 @@ def test_random_family_deterministic():
     assert not np.array_equal(a.sets, c.sets)
     # every set has exactly the minimum size
     assert (a.sets.sum(axis=1) == 10).all()
+
+
+def test_random_family_matches_scalar_oracle():
+    for k, inst in enumerate(fuzz_instances(300, seed=0)):
+        want = family_oracle(inst.x_size, inst.i_size, min_set_size(inst),
+                             derive_seed(0, k))
+        assert np.array_equal(inst.sets, want), inst.label
+    # Both ends of the fuzz range of family sizes, on every grid corner.
+    for x_size in FUZZ_X_SIZES:
+        for rho in FUZZ_RHOS:
+            i_min = -((-rho.numerator * x_size) // rho.denominator)
+            for i_size in sorted({i_min, x_size}):
+                inst = random_family(x_size, i_size, rho, seed=x_size)
+                want = family_oracle(x_size, i_size, min_set_size(inst),
+                                     x_size)
+                assert np.array_equal(inst.sets, want), inst.label
+
+
+def test_random_family_forced_rejection():
+    # The raw draw at ``position`` is 2**64 - 1, which the Fisher-Yates
+    # step it falls on rejects (no modulus 10..6 divides 2**64), so every
+    # later step draws from one counter position further on.
+    for position in (0, 7, 123):
+        seed = seed_with_raw(MASK64, position)
+        inst = random_family(10, 40, Fraction(1, 2), seed)
+        assert np.array_equal(inst.sets, family_oracle(10, 40, 5, seed))
 
 
 def test_random_family_infeasible():

@@ -3,12 +3,16 @@ import pytest
 
 from wordmaplab.rng import (
     GOLDEN,
+    MASK64,
     SplitMix64,
     derive_seed,
     mix64,
     randbelow_block,
+    randbelow_rows,
     u64_block,
 )
+
+from conftest import fisher_yates_sample, seed_with_raw, unmix64
 
 
 def test_mix64_reference_values():
@@ -52,21 +56,67 @@ def test_derive_seed_decorrelates():
     assert derive_seed(123, 0) != derive_seed(124, 0)
 
 
+def test_unmix64_inverts_mix64():
+    for z in (0, 1, GOLDEN, MASK64, 0x0123456789ABCDEF):
+        assert unmix64(mix64(z)) == z
+        assert mix64(unmix64(z)) == z
+    seed = seed_with_raw(MASK64, 5)
+    assert u64_block(seed, 5, 1)[0] == MASK64
+
+
+def test_randbelow_forced_rejection():
+    # The first raw draw is 2**64 - 1, above the limit 2**64 - 16 for n=24,
+    # so the block path must take its rejection branch.
+    for position in (0, 1, 4095, 20_000):
+        seed = seed_with_raw(MASK64, position)
+        gen = SplitMix64(seed)
+        scalar = [gen.randbelow(24) for _ in range(30_000)]
+        assert list(randbelow_block(seed, 24, 30_000)) == scalar, position
+
+
+def test_randbelow_rows_matches_scalar():
+    cases = [([100, 99, 98], 7, 5), ([10] * 4, 10, 0), ([1], 3, 9),
+             ([7, 2**32 + 1, 2**63, 10**9], 50, 2), ([5, 4], 0, 3),
+             ([], 4, 1)]
+    for moduli, rows, seed in cases:
+        gen = SplitMix64(seed)
+        want = [[gen.randbelow(m) for m in moduli] for _ in range(rows)]
+        got = randbelow_rows(seed, moduli, rows)
+        assert got.shape == (rows, len(moduli))
+        assert got.tolist() == want, (moduli, rows, seed)
+
+
+def test_randbelow_rows_forced_rejection():
+    # A raw draw of 2**64 - 1 is rejected by every modulus that does not
+    # divide 2**64, and every later entry moves by one counter position.
+    moduli = [10, 9, 8, 7, 6]
+    for position in (0, 37, 299):
+        seed = seed_with_raw(MASK64, position)
+        gen = SplitMix64(seed)
+        want = [[gen.randbelow(m) for m in moduli] for _ in range(60)]
+        assert randbelow_rows(seed, moduli, 60).tolist() == want, position
+    # Modulus 8 divides 2**64 and accepts the same raw value.
+    seed = seed_with_raw(MASK64, 2)
+    assert randbelow_rows(seed, moduli, 1)[0, 2] == MASK64 % 8
+
+
 def test_sample_without_replacement():
-    gen = SplitMix64(5)
-    picked = gen.sample(100, 30)
+    picked = fisher_yates_sample(SplitMix64(5), 100, 30)
     assert len(picked) == 30
     assert len(set(picked)) == 30
     assert all(0 <= v < 100 for v in picked)
-    assert SplitMix64(5).sample(100, 30) == picked
-    assert SplitMix64(5).sample(4, 4) != []
+    assert fisher_yates_sample(SplitMix64(5), 100, 30) == picked
+    assert sorted(fisher_yates_sample(SplitMix64(5), 4, 4)) == [0, 1, 2, 3]
 
 
 def test_sample_domain_errors():
     with pytest.raises(ValueError):
-        SplitMix64(0).sample(3, 4)
+        fisher_yates_sample(SplitMix64(0), 3, 4)
     with pytest.raises(ValueError):
         SplitMix64(0).randbelow(0)
+    for moduli in ([3, 0], [2**63 + 1], [-1]):
+        with pytest.raises(ValueError):
+            randbelow_rows(0, moduli, 1)
 
 
 def test_block_dtype_and_determinism():
