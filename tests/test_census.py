@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wordmaplab import build
 from wordmaplab.bounds import commuting_bound, f as bound_triple
 from wordmaplab.census import (
     CHUNK,
@@ -21,7 +22,6 @@ from wordmaplab.census import (
     verify_theorem,
     word_map_table,
 )
-from wordmaplab import build
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import EMPTY, derived_word, parse_word
 from wordmaplab.rng import SplitMix64

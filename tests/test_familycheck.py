@@ -22,8 +22,9 @@ from wordmaplab.rng import MASK64, derive_seed
 from conftest import family_oracle, seed_with_raw
 
 
-def min_set_size(inst):
-    return -((-inst.rho.numerator * inst.x_size) // inst.rho.denominator)
+def ceil_times(rho, x_size):
+    """ceil(rho |X|), the least set size and family size."""
+    return -((-rho.numerator * x_size) // rho.denominator)
 
 
 def windows_instance():
@@ -113,17 +114,17 @@ def test_random_family_deterministic():
 
 def test_random_family_matches_scalar_oracle():
     for k, inst in enumerate(fuzz_instances(300, seed=0)):
-        want = family_oracle(inst.x_size, inst.i_size, min_set_size(inst),
+        want = family_oracle(inst.x_size, inst.i_size,
+                             ceil_times(inst.rho, inst.x_size),
                              derive_seed(0, k))
         assert np.array_equal(inst.sets, want), inst.label
     # Both ends of the fuzz range of family sizes, on every grid corner.
     for x_size in FUZZ_X_SIZES:
         for rho in FUZZ_RHOS:
-            i_min = -((-rho.numerator * x_size) // rho.denominator)
-            for i_size in sorted({i_min, x_size}):
+            k = ceil_times(rho, x_size)
+            for i_size in sorted({k, x_size}):
                 inst = random_family(x_size, i_size, rho, seed=x_size)
-                want = family_oracle(x_size, i_size, min_set_size(inst),
-                                     x_size)
+                want = family_oracle(x_size, i_size, k, x_size)
                 assert np.array_equal(inst.sets, want), inst.label
 
 

@@ -65,8 +65,8 @@ def test_unmix64_inverts_mix64():
 
 
 def test_randbelow_forced_rejection():
-    # The first raw draw is 2**64 - 1, above the limit 2**64 - 16 for n=24,
-    # so the block path must take its rejection branch.
+    # The raw draw at ``position`` is 2**64 - 1, above the limit 2**64 - 16
+    # for n=24, so the block path must take its rejection branch.
     for position in (0, 1, 4095, 20_000):
         seed = seed_with_raw(MASK64, position)
         gen = SplitMix64(seed)
