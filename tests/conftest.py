@@ -55,22 +55,19 @@ def naive_census(w, G, d):
     n = G.n
     mul, inv = G.mul.tolist(), G.inv.tolist()
 
-    def evaluate(tup):
-        return evaluate_loops(w, mul, inv, tup)
-
     count = 0
     domain = list(itertools.product(range(n), repeat=d))
     for s in domain:
         s_inv = [inv[x] for x in s]
-        ws = evaluate(s)
+        ws = evaluate_loops(w, mul, inv, s)
         for t in domain:
             st = [mul[s_inv[i]][t[i]] for i in range(d)]
-            wt = evaluate(t)
+            wt = evaluate_loops(w, mul, inv, t)
             prefix = mul[inv[ws]][wt]
             for u in domain:
                 arg = [mul[st[i]][u[i]] for i in range(d)]
-                lhs = evaluate(arg)
-                rhs = mul[prefix][evaluate(u)]
+                lhs = evaluate_loops(w, mul, inv, arg)
+                rhs = mul[prefix][evaluate_loops(w, mul, inv, u)]
                 count += lhs == rhs
     return count
 
@@ -134,9 +131,6 @@ def estimator_hits(w, G, samples, seed, d):
     n = G.n
     mul, inv = G.mul.tolist(), G.inv.tolist()
 
-    def evaluate(tup):
-        return evaluate_loops(w, mul, inv, tup)
-
     hits = 0
     for lo in range(0, samples, CHUNK):
         gen = SplitMix64(derive_seed(seed, lo // CHUNK))
@@ -144,8 +138,9 @@ def estimator_hits(w, G, samples, seed, d):
             c = [gen.randbelow(n) for _ in range(3 * d)]
             s, t, u = c[:d], c[d:2 * d], c[2 * d:]
             stu = [mul[mul[inv[s[i]]][t[i]]][u[i]] for i in range(d)]
-            rhs = mul[mul[inv[evaluate(s)]][evaluate(t)]][evaluate(u)]
-            hits += evaluate(stu) == rhs
+            ws, wt, wu = (evaluate_loops(w, mul, inv, x) for x in (s, t, u))
+            rhs = mul[mul[inv[ws]][wt]][wu]
+            hits += evaluate_loops(w, mul, inv, stu) == rhs
     return hits
 
 

@@ -10,6 +10,7 @@ from wordmaplab.familycheck import (
     FUZZ_X_SIZES,
     FamilyInstance,
     InfeasibleParametersError,
+    _ceil_frac,
     adversarial_families,
     fuzz_instances,
     load_family,
@@ -20,11 +21,6 @@ from wordmaplab.familycheck import (
 from wordmaplab.rng import MASK64, derive_seed
 
 from conftest import family_oracle, seed_with_raw
-
-
-def ceil_times(rho, x_size):
-    """ceil(rho |X|), the least set size and family size."""
-    return -((-rho.numerator * x_size) // rho.denominator)
 
 
 def windows_instance():
@@ -94,6 +90,26 @@ def test_verify_lemma_brute_force_oracle():
     assert rep.overlap_threshold == thr
 
 
+def test_verify_lemma_matches_int64_product():
+    for inst in adversarial_families() + fuzz_instances(100, seed=2):
+        m = inst.sets.astype(np.int64)
+        thr = f2(inst.rho) * inst.x_size
+        want = int(((m @ m.T) * thr.denominator >= thr.numerator).sum())
+        assert verify_lemma(inst).qualifying_pairs == want, inst.label
+
+
+def test_verify_lemma_wide_ground_set():
+    # An overlap of 2**15 does not fit int16; every pair overlaps here and
+    # the threshold is below 1, so all four ordered pairs qualify.
+    x_size = 1 << 15
+    sets = np.zeros((2, x_size), dtype=bool)
+    sets[0] = True
+    sets[1, :2] = True
+    inst = FamilyInstance(x_size=x_size, rho=Fraction(1, 1 << 14),
+                          sets=sets)
+    assert verify_lemma(inst).qualifying_pairs == 4
+
+
 def test_boundary_windows_pass():
     rep = verify_lemma(windows_instance())
     assert rep.passed
@@ -115,13 +131,13 @@ def test_random_family_deterministic():
 def test_random_family_matches_scalar_oracle():
     for k, inst in enumerate(fuzz_instances(300, seed=0)):
         want = family_oracle(inst.x_size, inst.i_size,
-                             ceil_times(inst.rho, inst.x_size),
+                             _ceil_frac(inst.rho * inst.x_size),
                              derive_seed(0, k))
         assert np.array_equal(inst.sets, want), inst.label
     # Both ends of the fuzz range of family sizes, on every grid corner.
     for x_size in FUZZ_X_SIZES:
         for rho in FUZZ_RHOS:
-            k = ceil_times(rho, x_size)
+            k = _ceil_frac(rho * x_size)
             for i_size in sorted({k, x_size}):
                 inst = random_family(x_size, i_size, rho, seed=x_size)
                 want = family_oracle(x_size, i_size, k, x_size)

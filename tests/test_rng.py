@@ -34,7 +34,8 @@ def test_scalar_stream_matches_block():
 
 
 def test_randbelow_matches_block():
-    for n in (1, 2, 6, 7, 256, 10**9, 2**32, 2**63):
+    # 2**62 + 1 rejects about a quarter of all raw values.
+    for n in (1, 2, 6, 7, 256, 10**9, 2**32, 2**62 + 1, 2**63):
         gen = SplitMix64(42)
         scalar = [gen.randbelow(n) for _ in range(500)]
         block = randbelow_block(42, n, 500)
@@ -77,7 +78,9 @@ def test_randbelow_forced_rejection():
 def test_randbelow_rows_matches_scalar():
     cases = [([100, 99, 98], 7, 5), ([10] * 4, 10, 0), ([1], 3, 9),
              ([7, 2**32 + 1, 2**63, 10**9], 50, 2), ([5, 4], 0, 3),
-             ([], 4, 1)]
+             ([], 4, 1),
+             # Limits far apart: many raw values exceed one limit only.
+             ([2**62 + 1, 3 * 2**61 + 7, 5, 2**63], 300, 3)]
     for moduli, rows, seed in cases:
         gen = SplitMix64(seed)
         want = [[gen.randbelow(m) for m in moduli] for _ in range(rows)]
