@@ -8,17 +8,17 @@ prints it as canonical JSON (or a text rendering) and exits with:
     2  usage, parse, or validation error
     3  a configured budget would be exceeded
 
-Reports embed the full run configuration.  With one exception they are
-byte-identical across runs for identical configurations (including seeds):
-the ``timings`` block holds wall-clock seconds and necessarily varies; all
-other content is deterministic.
+Reports embed the full run configuration, which holds only the flags given
+and their fixed defaults.  With one exception a report is byte-identical
+across runs and machines for the same flags (including seeds): the
+``timings`` block holds wall-clock seconds and necessarily varies; all other
+content is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -59,7 +59,6 @@ class RunConfig:
     budget_hom: int = DEFAULT_HOM
     budget_order: int = DEFAULT_ORDER
     budget_table: int = DEFAULT_TABLE
-    workers: int = 1
     format: str = "json"
     out: str | None = None
     fuzz: int | None = None
@@ -72,11 +71,13 @@ class RunConfig:
                 f"--samples must be >= {census.MIN_SAMPLES}"
             )
         for name in ("budget_iter", "budget_hom", "budget_order",
-                     "budget_table", "workers"):
+                     "budget_table"):
             if getattr(self, name) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("--seed must be an unsigned 64-bit integer")
+        if self.fuzz is not None and self.fuzz < 0:
+            raise ValueError("--fuzz must be >= 0")
 
 
 def _census_dict(r: census.CensusResult) -> dict:
@@ -179,7 +180,6 @@ def _cmd_verify_theorem(cfg: RunConfig):
         hom_budget=cfg.budget_hom,
         iter_budget=cfg.budget_iter,
         table_budget=cfg.budget_table,
-        workers=cfg.workers,
         hom=hom,
     )
     return {"theorem": _theorem_dict(rep)}, rep.passed
@@ -191,8 +191,7 @@ def _cmd_verify_mann(cfg: RunConfig):
     G = _build_group(cfg)
     direct = census.power_equation_count(cfg.e, G, cfg.budget_iter)
     derived_count = census.count_solutions_exact(
-        reduce([(1, cfg.e)]), G, 1, cfg.budget_iter, cfg.budget_table,
-        cfg.workers,
+        reduce([(1, cfg.e)]), G, 1, cfg.budget_iter, cfg.budget_table
     ).count
     equal = direct == derived_count
     results = {
@@ -358,9 +357,6 @@ def _make_parser() -> argparse.ArgumentParser:
                        default=group.DEFAULT_ORDER_BUDGET)
         p.add_argument("--budget-table", type=int,
                        default=census.DEFAULT_TABLE_BUDGET)
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="threads for the census kernels; results do not "
-                            "depend on this")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--fuzz", type=int,

@@ -4,8 +4,8 @@ The generator is SplitMix64 in counter mode: output k of a stream with seed
 ``s`` is ``mix64((s + (k+1) * GOLDEN) mod 2**64)`` where ``mix64`` is the
 standard SplitMix64 finalizer.  Counter mode makes scalar and vectorized
 generation produce identical streams, which keeps sampled results bit-for-bit
-reproducible across platforms and worker counts.  Nothing here depends on the
-stdlib ``random`` module or on floating point.
+reproducible across platforms.  Nothing here depends on the stdlib
+``random`` module or on floating point.
 
 ``SplitMix64`` walks the stream one value at a time; ``u64_block`` draws
 raw blocks, and ``randbelow_rows`` (a cycle of moduli, as partial

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmaplab import build
 from wordmaplab.bounds import commuting_bound, f as bound_triple
@@ -23,11 +25,13 @@ from wordmaplab.census import (
     word_map_table,
 )
 from wordmaplab.errors import BudgetExceededError
-from wordmaplab.freeword import EMPTY, derived_word, parse_word
+from wordmaplab.freeword import EMPTY, derived_word, parse_word, reduce
+from wordmaplab.group import GroupTable
+from wordmaplab.homset import best_agreement
 from wordmaplab.rng import SplitMix64
 from wordmaplab._tables import evaluate_word, word_values
 
-from conftest import estimator_hits, naive_census
+from conftest import BATTERY_SPECS, estimator_hits, naive_census, plane_census
 
 COMMUTATOR = "x1*x2*x1^-1*x2^-1"
 
@@ -118,11 +122,57 @@ def test_exact_census_pinned_and_oracle(spec, text, d, expected, groups):
     assert res.proportion == Fraction(expected, G.n ** (3 * d))
 
 
-def test_exact_census_worker_invariance(groups):
+# Past the naive oracle's reach: up to 256^3 triples, or 216^3 at d = 3.
+@pytest.mark.parametrize("spec,text,d", [
+    ("A4", "x1^2*x2^3", 2),
+    ("D8", "x1^2*x2", 2),
+    ("S3", "x1*x2^-1*x3^2", 3),
+    ("C4xC4", "x1*x2", 2),
+    ("Q8", COMMUTATOR, 2),
+])
+def test_exact_census_matches_plane_oracle(spec, text, d, extended_groups):
+    G = extended_groups[spec]
+    w = parse_word(text)
+    assert count_solutions_exact(w, G, d).count == plane_census(w, G, d)
+
+
+def test_exact_census_empty_word_d0(groups):
+    res = count_solutions_exact(EMPTY, groups["S3"], 0)
+    assert res.count == res.space_size == naive_census(EMPTY, groups["S3"], 0)
+
+
+def relabelled(G, perm):
+    """G with element g renamed perm[g]; perm[0] == 0 keeps the identity."""
+    p = np.asarray(perm, dtype=np.int64)
+    mul = np.empty_like(G.mul)
+    mul[np.ix_(p, p)] = p[G.mul]
+    inv = np.empty_like(G.inv)
+    inv[p] = p[G.inv]
+    labels = [G.labels[g] for g in np.argsort(p)]
+    return GroupTable(n=G.n, mul=mul, inv=inv, labels=labels, name=G.name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(BATTERY_SPECS), d=st.sampled_from([1, 2]),
+       data=st.data())
+def test_relabelling_invariance(groups, spec, d, data):
+    G = groups[spec]
+    H = relabelled(G, [0] + data.draw(st.permutations(range(1, G.n))))
+    raw = data.draw(st.lists(
+        st.tuples(st.integers(1, d),
+                  st.integers(-3, 3).filter(lambda e: e != 0)),
+        min_size=1, max_size=4))
+    w = reduce(raw)
+    assert count_solutions_exact(w, H, d) == count_solutions_exact(w, G, d)
+    assert best_agreement(w, H, d)[0] == best_agreement(w, G, d)[0]
+    assert fiber_stats(w, H, d).histogram == fiber_stats(w, G, d).histogram
+
+
+def test_exact_census_repeatable(groups):
     w = parse_word("x1*x2")
-    a = count_solutions_exact(w, groups["S3"], 2, workers=1)
-    b = count_solutions_exact(w, groups["S3"], 2, workers=4)
-    assert a.count == b.count
+    a = count_solutions_exact(w, groups["S3"], 2)
+    b = count_solutions_exact(w, groups["S3"], 2)
+    assert a == b
 
 
 def test_exact_census_matches_derived_word_values(groups):
@@ -156,14 +206,18 @@ def test_exact_census_budget(groups):
     with pytest.raises(BudgetExceededError):
         count_solutions_exact(parse_word("x1*x2"), groups["S3"], 2,
                               iter_budget=1000)
+    # 32^6 triples exceed the default budget; the benchmark's refused D16
+    # case depends on this refusal point.
+    with pytest.raises(BudgetExceededError):
+        count_solutions_exact(parse_word("x1*x2"), build("D16"), 2)
 
 
 def test_estimator_deterministic(groups):
     w = parse_word("x1^2")
     a = estimate_solutions(w, groups["S3"], 10_000, 0)
-    b = estimate_solutions(w, groups["S3"], 10_000, 0, workers=3)
-    assert a.estimate_mean == b.estimate_mean == Fraction(633, 1250)
-    assert a.ci_half_width == b.ci_half_width
+    b = estimate_solutions(w, groups["S3"], 10_000, 0)
+    assert a == b
+    assert a.estimate_mean == Fraction(633, 1250)
     assert a.mode == "estimate" and a.seed == 0 and a.samples == 10_000
 
 
@@ -209,13 +263,12 @@ def test_estimator_needs_min_samples(groups):
 
 
 def test_estimator_chunking_is_stable(groups):
-    # More than one chunk; result still equals the single-threaded run.
+    # More than one chunk; a second run with the same seed repeats it.
     w = parse_word("x1^2")
     m = CHUNK + 123
     a = estimate_solutions(w, groups["S3"], m, 3)
-    b = estimate_solutions(w, groups["S3"], m, 3, workers=4)
-    assert (a.estimate_mean, a.ci_half_width) == (b.estimate_mean,
-                                                  b.ci_half_width)
+    b = estimate_solutions(w, groups["S3"], m, 3)
+    assert a == b
 
 
 def flags_for(G, members):

@@ -32,6 +32,8 @@ def test_verify_theorem_json(capsys):
     cfg = rep["config"]
     assert cfg["subcommand"] == "verify-theorem"
     assert cfg["group"] == "S3" and cfg["word"] == "x1^2"
+    # No machine-dependent default (such as a thread count) in the config.
+    assert "workers" not in cfg
     assert isinstance(rep["timings"]["total_seconds"], float)
 
 
@@ -244,6 +246,9 @@ def test_usage_errors(capsys):
         ["verify-lemma", "--file", "/nonexistent/family.txt"],
         ["no-such-subcommand"],
         ["verify-theorem", "--group", "S3", "--word", "x1^2", "--bogus"],
+        ["verify-theorem", "--group", "S3", "--word", "x1^2",
+         "--workers", "2"],                              # removed flag
+        ["verify-lemma", "--fuzz", "-3"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv
