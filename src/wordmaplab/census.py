@@ -181,11 +181,12 @@ def count_solutions_exact(
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
     M = G.mul
-    # prod[a, b] is the index of the componentwise product ab in G^d.
-    prod = np.zeros((size, size), dtype=np.int64)
+    # wp[a, b] = w(ab): first the index of the componentwise product ab in
+    # G^d, then the word's value there (one n^{2d} array, not two).
+    wp = np.zeros((size, size), dtype=np.int64)
     for c, r in zip(_tables.coordinate_columns(n, d), _tables.radices(n, d)):
-        prod += M[c[:, None], c[None, :]] * r
-    wp = wv[prod]
+        wp += M[c[:, None], c[None, :]] * r
+    wp = wv[wp]
     winv = G.inv[wv]
     xn = np.arange(size, dtype=np.int64) * n
     # Both histograms are keyed x * n + y; wp[s, x] = w(sx), wp[x, u] = w(xu).
@@ -195,6 +196,7 @@ def count_solutions_exact(
     keys = M[wp, winv[None, :]]
     keys += xn[:, None]
     B = np.bincount(keys.ravel(), minlength=size * n)
+    # A @ B <= size^3 fits in int64 unless the tables above exceed 2^42 cells.
     return CensusResult(mode="exact", space_size=space, count=int(A @ B))
 
 

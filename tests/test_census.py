@@ -108,6 +108,7 @@ EXACT_PINNED = [
     ("C4", "x1*x2", 2, 4096),
     ("Q8", "x1^3", 1, 320),
     ("C2xC2", COMMUTATOR, 2, 4096),
+    ("S3", "1", 0, 1),
 ]
 
 
@@ -136,11 +137,6 @@ def test_exact_census_matches_plane_oracle(spec, text, d, extended_groups):
     assert count_solutions_exact(w, G, d).count == plane_census(w, G, d)
 
 
-def test_exact_census_empty_word_d0(groups):
-    res = count_solutions_exact(EMPTY, groups["S3"], 0)
-    assert res.count == res.space_size == naive_census(EMPTY, groups["S3"], 0)
-
-
 def relabelled(G, perm):
     """G with element g renamed perm[g]; perm[0] == 0 keeps the identity."""
     p = np.asarray(perm, dtype=np.int64)
@@ -158,11 +154,9 @@ def relabelled(G, perm):
 def test_relabelling_invariance(groups, spec, d, data):
     G = groups[spec]
     H = relabelled(G, [0] + data.draw(st.permutations(range(1, G.n))))
-    raw = data.draw(st.lists(
-        st.tuples(st.integers(1, d),
-                  st.integers(-3, 3).filter(lambda e: e != 0)),
-        min_size=1, max_size=4))
-    w = reduce(raw)
+    # reduce drops zero exponents and cancels, so w may come out empty.
+    w = reduce(data.draw(st.lists(
+        st.tuples(st.integers(1, d), st.integers(-3, 3)), max_size=4)))
     assert count_solutions_exact(w, H, d) == count_solutions_exact(w, G, d)
     assert best_agreement(w, H, d)[0] == best_agreement(w, G, d)[0]
     assert fiber_stats(w, H, d).histogram == fiber_stats(w, G, d).histogram
