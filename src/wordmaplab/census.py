@@ -89,11 +89,16 @@ def dump_word_map_table(table: WordMapTable, path) -> None:
 
 
 def load_word_map_table(path) -> WordMapTable:
+    """Read a ``dump_word_map_table`` file; any malformed file raises
+    ValueError."""
     with open(path, "rb") as fh:
-        magic, d, n = struct.unpack("<4sHH", fh.read(8))
-        if magic != WMT_MAGIC:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != WMT_MAGIC:
             raise ValueError("not a word map table dump")
+        _, d, n = struct.unpack("<4sHH", head)
         vals = np.frombuffer(fh.read(), dtype="<i4").astype(np.int64)
+    if vals.size and not 0 <= vals.min() <= vals.max() < n:
+        raise ValueError(f"element ids outside [0, {n})")
     return WordMapTable(d=d, n=n, values=vals)
 
 

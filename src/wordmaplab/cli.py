@@ -237,7 +237,8 @@ def _lemma_dict(rep: familycheck.LemmaReport) -> dict:
 
 def _cmd_verify_lemma(cfg: RunConfig):
     if cfg.family_file:
-        inst = familycheck.load_family(cfg.family_file, label=cfg.family_file)
+        inst = familycheck.load_family(cfg.family_file, label=cfg.family_file,
+                                       table_budget=cfg.budget_table)
         instances = [inst]
     else:
         instances = familycheck.adversarial_families()

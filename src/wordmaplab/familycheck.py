@@ -17,12 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._tables import DEFAULT_TABLE_BUDGET, check_table_budget
 from .bounds import check_rho, f1, f2, parse_rat, rat_str
 from .rng import SplitMix64, derive_seed, randbelow_rows
 
 
 class InfeasibleParametersError(ValueError):
     """Requested family parameters violate the hypotheses."""
+
+
+# Row pairs counted per block by ``_pairs_reaching``; the accumulator and the
+# AND scratch each hold this many 64-bit cells.
+OVERLAP_BLOCK_CELLS = 1 << 16
 
 
 def _ceil_frac(q: Fraction) -> int:
@@ -80,17 +86,45 @@ class LemmaReport:
         return Fraction(self.qualifying_pairs) >= self.required_pairs
 
 
+def _packed_words(sets: np.ndarray) -> np.ndarray:
+    """Bit-pack each row of a bool (I, |X|) matrix into 64-bit words; returns
+    a contiguous (W, I) table, so word w of every set is one row.  Padding
+    bits are zero."""
+    packed = np.packbits(sets, axis=1)
+    width = -(-packed.shape[1] // 8)
+    buf = np.zeros((sets.shape[0], 8 * width), dtype=np.uint8)
+    buf[:, :packed.shape[1]] = packed
+    return buf.view(np.uint64).T.copy()
+
+
+def _pairs_reaching(sets: np.ndarray, need: int) -> int:
+    """Ordered row pairs (i, j) of a bool matrix with |row_i & row_j| >=
+    need.  Each overlap is a sum of popcounts of ANDed 64-bit words, an exact
+    integer; rows are counted a block at a time, so the I x I overlap
+    matrix is never built."""
+    words = _packed_words(sets)
+    i_size = sets.shape[0]
+    step = max(1, OVERLAP_BLOCK_CELLS // max(i_size, 1))
+    anded = np.empty((min(step, i_size), i_size), dtype=np.uint64)
+    count = 0
+    for lo in range(0, i_size, step):
+        hi = min(lo + step, i_size)
+        acc = np.zeros((hi - lo, i_size), dtype=np.int64)
+        for word in words:
+            np.bitwise_and(word[lo:hi, None], word[None, :],
+                           out=anded[:hi - lo])
+            acc += np.bitwise_count(anded[:hi - lo])
+        count += int(np.count_nonzero(acc >= need))
+    return count
+
+
 def verify_lemma(inst: FamilyInstance) -> LemmaReport:
     """Count ordered index pairs whose overlap reaches f2(rho) |X|."""
     rho = inst.rho
     thr = f2(rho) * inst.x_size
-    # Overlaps are integers of at most |X|, so int16 holds them below
-    # |X| = 2**15, and an overlap reaches thr exactly when it reaches
-    # ceil(thr).  numpy has no BLAS kernel for integer products; einsum on
-    # int16 runs about 2.5 times faster than matmul on int64.
-    m = inst.sets.astype(np.int16 if inst.x_size < 1 << 15 else np.int64)
-    overlap = np.einsum("ik,jk->ij", m, m)
-    qualifying = int(np.count_nonzero(overlap >= _ceil_frac(thr)))
+    # Overlaps are integers, so one reaches thr exactly when it reaches
+    # ceil(thr).
+    qualifying = _pairs_reaching(inst.sets, _ceil_frac(thr))
     return LemmaReport(
         label=inst.label,
         x_size=inst.x_size,
@@ -243,7 +277,10 @@ def save_family(inst: FamilyInstance, path_or_file) -> None:
             write(fh)
 
 
-def load_family(path_or_file, label: str = "") -> FamilyInstance:
+def load_family(path_or_file, label: str = "",
+                table_budget: int = DEFAULT_TABLE_BUDGET) -> FamilyInstance:
+    """Read the ``save_family`` format.  The I x |X| membership matrix
+    counts against ``table_budget``."""
     def read(fh):
         header = fh.readline().split()
         try:
@@ -253,16 +290,26 @@ def load_family(path_or_file, label: str = "") -> FamilyInstance:
             rho = parse_rat(fields["rho"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad family header: {header}") from exc
+        if x_size < 1 or i_size < 1:
+            raise ValueError(f"bad family header: {header} (X and I must be "
+                             "positive)")
+        check_table_budget(x_size * i_size, table_budget)
         sets = np.zeros((i_size, x_size), dtype=bool)
         for i in range(i_size):
             line = fh.readline()
             if not line:
                 raise ValueError(f"expected {i_size} set lines")
-            for tok in line.split():
-                member = int(tok)
-                if not 0 <= member < x_size:
-                    raise ValueError(f"member index {member} out of range")
-                sets[i, member] = True
+            tokens = line.split()
+            try:
+                members = np.array(tokens, dtype=np.int64)
+            except OverflowError:
+                # A token beyond int64, so out of range: compare Python ints.
+                members = np.array([int(t) for t in tokens], dtype=object)
+            bad = (members < 0) | (members >= x_size)
+            if bad.any():
+                raise ValueError(
+                    f"member index {members[bad.argmax()]} out of range")
+            sets[i, members] = True
         return FamilyInstance(x_size=x_size, rho=rho, sets=sets, label=label)
 
     if isinstance(path_or_file, io.TextIOBase):

@@ -1,4 +1,5 @@
 import itertools
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,46 @@ def test_dump_load_round_trip(tmp_path, groups):
     bad.write_bytes(b"NOPE" + bytes(8))
     with pytest.raises(ValueError):
         load_word_map_table(bad)
+
+
+def test_load_word_map_table_rejects_bad_files(tmp_path):
+    path = tmp_path / "bad.wmt"
+    for data in (b"", b"WMT1", b"WMT1\x01\x00\x04"):  # header cut short
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_word_map_table(path)
+    for bad in (99, -1):  # element ids outside [0, n) for n = 4
+        path.write_bytes(struct.pack("<4sHH", b"WMT1", 1, 4)
+                         + np.array([0, 1, bad, 3], dtype="<i4").tobytes())
+        with pytest.raises(ValueError, match="outside"):
+            load_word_map_table(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut=st.integers(0, 151),
+       edits=st.lists(st.tuples(st.integers(0, 151), st.integers(0, 255)),
+                      max_size=4))
+def test_load_word_map_table_damaged_bytes(tmp_path_factory, groups, cut,
+                                           edits):
+    # A truncated dump never loads; a garbled one loads only as a valid
+    # table, and otherwise raises ValueError.
+    t = word_map_table(parse_word(COMMUTATOR), groups["S3"], 2)
+    path = tmp_path_factory.mktemp("wmt") / "t.wmt"
+    dump_word_map_table(t, path)
+    data = bytearray(path.read_bytes())
+    assert len(data) == 152
+    path.write_bytes(bytes(data[:cut]))
+    with pytest.raises(ValueError):
+        load_word_map_table(path)
+    for pos, byte in edits:
+        data[pos] = byte
+    path.write_bytes(bytes(data))
+    try:
+        back = load_word_map_table(path)
+    except ValueError:
+        return
+    assert len(back.values) == back.n ** back.d
+    assert ((0 <= back.values) & (back.values < back.n)).all()
 
 
 def test_fiber_stats_pinned(groups):

@@ -255,6 +255,21 @@ def test_usage_errors(capsys):
         capsys.readouterr()
 
 
+def test_verify_lemma_bad_family_header(tmp_path, capsys):
+    # X * I = 10**10 cells exceed --budget-table before anything is
+    # allocated (exit 3); a non-positive X or I is malformed (exit 2).
+    path = tmp_path / "family.txt"
+    for header, code in (("X=100000 I=100000 rho=1/2", 3),
+                         ("X=0 I=3 rho=1/2", 2),
+                         ("X=4 I=0 rho=1/2", 2),
+                         ("X=4 I=-2 rho=1/2", 2)):
+        path.write_text(header + "\n")
+        assert cli.run(["verify-lemma", "--file", str(path)]) == code, header
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("budget exceeded" if code == 3 else "error")
+
+
 def test_budget_exit(capsys):
     assert cli.run(["verify-theorem", "--group", "S3", "--word", "x1*x2",
                     "--budget-iter", "1000"]) == 3

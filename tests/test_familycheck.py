@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wordmaplab import familycheck
 from wordmaplab.bounds import f2
+from wordmaplab.errors import BudgetExceededError
 from wordmaplab.familycheck import (
     FUZZ_RHOS,
     FUZZ_X_SIZES,
     FamilyInstance,
     InfeasibleParametersError,
     _ceil_frac,
+    _pairs_reaching,
     adversarial_families,
     fuzz_instances,
     load_family,
@@ -108,6 +113,39 @@ def test_verify_lemma_wide_ground_set():
     inst = FamilyInstance(x_size=x_size, rho=Fraction(1, 1 << 14),
                           sets=sets)
     assert verify_lemma(inst).qualifying_pairs == 4
+
+
+def random_rows(rng, i_size, x_size):
+    """i_size random nonempty subsets of range(x_size), of random sizes."""
+    sets = np.zeros((i_size, x_size), dtype=bool)
+    for row in sets:
+        row[rng.permutation(x_size)[:rng.integers(1, x_size + 1)]] = True
+    return sets
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
+def test_pairs_reaching_block_boundaries(monkeypatch, rows_per_block):
+    # Ground sets on both sides of the 64-bit word edges cover the zero
+    # padding bits; every threshold from 0 to |X| + 1 checks each overlap,
+    # not only those near f2(rho) |X|.  One row per block, seven (which
+    # leaves a short last block) and the default.
+    rng = np.random.default_rng(8)
+    for x_size in (1, 63, 64, 65, 129):
+        for i_size in (1, 2, 13):
+            if rows_per_block is not None:
+                monkeypatch.setattr(familycheck, "OVERLAP_BLOCK_CELLS",
+                                    rows_per_block * i_size)
+            sets = random_rows(rng, i_size, x_size)
+            m = sets.astype(np.int64)
+            overlap = m @ m.T
+            for need in range(x_size + 2):
+                assert _pairs_reaching(sets, need) == \
+                    int((overlap >= need).sum()), (x_size, i_size, need)
+            inst = FamilyInstance(x_size=x_size, rho=Fraction(1, x_size),
+                                  sets=sets)
+            thr = f2(inst.rho) * x_size
+            assert verify_lemma(inst).qualifying_pairs == \
+                int(((m @ m.T) * thr.denominator >= thr.numerator).sum())
 
 
 def test_boundary_windows_pass():
@@ -210,3 +248,68 @@ def test_load_family_errors(tmp_path):
     bad.write_text("X=4 I=4 rho=1/2\n0 9\n0 1\n0 1\n0 1\n")  # out of range
     with pytest.raises(ValueError):
         load_family(bad)
+
+
+@st.composite
+def families(draw):
+    x_size = draw(st.integers(1, 24))
+    rho = Fraction(1, draw(st.integers(1, 6)))
+    k = _ceil_frac(rho * x_size)
+    rows = draw(st.lists(st.sets(st.integers(0, x_size - 1), min_size=k),
+                         min_size=max(k, 1), max_size=k + 6))
+    sets = np.zeros((len(rows), x_size), dtype=bool)
+    for row, members in zip(sets, rows):
+        row[list(members)] = True
+    return FamilyInstance(x_size=x_size, rho=rho, sets=sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+def test_save_load_round_trip_property(inst):
+    buf = io.StringIO()
+    save_family(inst, buf)
+    buf.seek(0)
+    back = load_family(buf)
+    assert (back.x_size, back.rho) == (inst.x_size, inst.rho)
+    assert np.array_equal(back.sets, inst.sets)
+
+
+def _mutate(text, draw):
+    """A damaged copy of a saved family file, and whether every copy of its
+    kind is invalid (a garbled line may still parse)."""
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["drop", "range", "junk", "header", "huge",
+                                 "garble"]))
+    row = draw(st.integers(1, len(lines) - 1))
+    if kind == "drop":
+        del lines[row]
+    elif kind == "range":
+        lines[row] += " " + str(draw(st.sampled_from([-1, 10 ** 6])))
+    elif kind == "junk":
+        lines[row] += " " + draw(st.sampled_from(["x", "1.5", "0x1", "--2",
+                                                  "1e3", "½"]))
+    elif kind == "header":
+        lines[0] = draw(st.sampled_from([
+            "", "X=4", "X=a I=2 rho=1/2", "X=4 I=2 rho=3/2", "X=0 I=2 rho=1",
+            "X=4 I=-1 rho=1/2", "X=100000 I=100000 rho=1/2", "X=4 I=2 rho",
+        ]))
+    elif kind == "huge":
+        lines[row] += " " + draw(st.sampled_from(["9" * 30, "-" + "9" * 30,
+                                                  str(2 ** 63)]))
+    else:
+        lines[row] = draw(st.text(max_size=12))
+    return "\n".join(lines) + "\n", kind != "garble"
+
+
+@settings(max_examples=80, deadline=None)
+@given(families(), st.data())
+def test_load_family_rejects_mutations(inst, data):
+    # Only ValueError (exit 2) or BudgetExceededError (exit 3) may escape.
+    buf = io.StringIO()
+    save_family(inst, buf)
+    text, invalid = _mutate(buf.getvalue(), data.draw)
+    try:
+        load_family(io.StringIO(text), table_budget=10 ** 6)
+    except (ValueError, BudgetExceededError):
+        return
+    assert not invalid, text
