@@ -86,24 +86,18 @@ class LemmaReport:
         return Fraction(self.qualifying_pairs) >= self.required_pairs
 
 
-def _packed_words(sets: np.ndarray) -> np.ndarray:
-    """Bit-pack each row of a bool (I, |X|) matrix into 64-bit words; returns
-    a contiguous (W, I) table, so word w of every set is one row.  Padding
-    bits are zero."""
-    packed = np.packbits(sets, axis=1)
-    width = -(-packed.shape[1] // 8)
-    buf = np.zeros((sets.shape[0], 8 * width), dtype=np.uint8)
-    buf[:, :packed.shape[1]] = packed
-    return buf.view(np.uint64).T.copy()
-
-
 def _pairs_reaching(sets: np.ndarray, need: int) -> int:
     """Ordered row pairs (i, j) of a bool matrix with |row_i & row_j| >=
     need.  Each overlap is a sum of popcounts of ANDed 64-bit words, an exact
     integer; rows are counted a block at a time, so the I x I overlap
     matrix is never built."""
-    words = _packed_words(sets)
+    # Bit-pack each row, zero-padded to whole 64-bit words, into a (W, I)
+    # table: word w of every row is one contiguous row.
     i_size = sets.shape[0]
+    packed = np.packbits(sets, axis=1)
+    buf = np.zeros((i_size, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    buf[:, :packed.shape[1]] = packed
+    words = buf.view(np.uint64).T.copy()
     step = max(1, OVERLAP_BLOCK_CELLS // max(i_size, 1))
     anded = np.empty((min(step, i_size), i_size), dtype=np.uint64)
     count = 0

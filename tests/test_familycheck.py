@@ -136,8 +136,7 @@ def test_pairs_reaching_block_boundaries(monkeypatch, rows_per_block):
                 monkeypatch.setattr(familycheck, "OVERLAP_BLOCK_CELLS",
                                     rows_per_block * i_size)
             sets = random_rows(rng, i_size, x_size)
-            m = sets.astype(np.int64)
-            overlap = m @ m.T
+            overlap = sets.astype(np.int64) @ sets.T.astype(np.int64)
             for need in range(x_size + 2):
                 assert _pairs_reaching(sets, need) == \
                     int((overlap >= need).sum()), (x_size, i_size, need)
@@ -145,7 +144,7 @@ def test_pairs_reaching_block_boundaries(monkeypatch, rows_per_block):
                                   sets=sets)
             thr = f2(inst.rho) * x_size
             assert verify_lemma(inst).qualifying_pairs == \
-                int(((m @ m.T) * thr.denominator >= thr.numerator).sum())
+                int((overlap * thr.denominator >= thr.numerator).sum())
 
 
 def test_boundary_windows_pass():
