@@ -2,36 +2,47 @@
 
 Tuples (g_1, ..., g_d) over a group of order n are flattened to the index
 g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest.  Both the
-census code and the homomorphism code build on these helpers.
+census code and the homomorphism code build on these helpers; the exact
+census and the translate tables share one product kernel, ``product_index``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .freeword import Word
 from .group import GroupTable, element_power, power_table
 
 DEFAULT_TABLE_BUDGET = 100_000_000  # entries, not bytes
 
 
-def radices(n: int, d: int) -> list[int]:
-    """Place values per coordinate: [n^(d-1), ..., n, 1]."""
-    return [n ** (d - 1 - i) for i in range(d)]
+def coordinate_columns(n: int, d: int, idx=None) -> list[np.ndarray]:
+    """Column i holds coordinate i+1 of every index in ``idx`` (default:
+    every index of G^d, in index order)."""
+    if idx is None:
+        idx = np.arange(n ** d, dtype=np.int64)
+    return [(idx // n ** (d - 1 - i)) % n for i in range(d)]
 
 
-def coordinate_columns(n: int, d: int) -> list[np.ndarray]:
-    """Column i holds coordinate i+1 of every index of G^d, in index order."""
-    idx = np.arange(n ** d, dtype=np.int64)
-    return [(idx // (n ** (d - 1 - i))) % n for i in range(d)]
+def product_index(G: GroupTable, d: int, left, right) -> np.ndarray:
+    """Index of the componentwise product a b for every a in ``left`` and
+    b in ``right`` (index arrays into G^d), shape (len(left), len(right))."""
+    out = np.zeros((len(left), len(right)), dtype=np.int64)
+    for a, b in zip(coordinate_columns(G.n, d, left),
+                    coordinate_columns(G.n, d, right)):
+        out *= G.n
+        out += G.mul[a[:, None], b[None, :]]
+    return out
 
 
-def check_table_budget(entries: int, budget: int) -> None:
-    if entries > budget:
-        raise BudgetExceededError(
-            f"table of {entries} entries exceeds the budget of {budget}"
-        )
+def inverse_index(G: GroupTable, d: int) -> np.ndarray:
+    """Index of the inverse of every tuple of G^d, in index order."""
+    out = np.zeros(G.n ** d, dtype=np.int64)
+    for c in coordinate_columns(G.n, d):
+        out *= G.n
+        out += G.inv[c]
+    return out
 
 
 def word_values(w: Word, G: GroupTable, d: int,
@@ -43,7 +54,7 @@ def word_values(w: Word, G: GroupTable, d: int,
         raise ValueError("d must be >= 0")
     n = G.n
     size = n ** d
-    check_table_budget(size, budget)
+    check_budget(size, budget, "word table")
     return evaluate_columns(w, G, coordinate_columns(n, d), size)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _tables
 from .bounds import BoundTriple, commuting_bound, f as bound_triple
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .freeword import Word, derived_word, reduce
 from .group import GroupTable, commuting_probability, power_table
 from .homset import agreement_set, best_agreement
@@ -178,22 +178,15 @@ def count_solutions_exact(
     n = G.n
     size = n ** d
     space = size ** 3
-    if space > iter_budget:
-        raise BudgetExceededError(
-            f"exact census covers {space} triples, budget {iter_budget}"
-        )
-    _tables.check_table_budget(size * size * (d + 1), table_budget)
+    check_budget(space, iter_budget, "exact census")
+    check_budget(size * size * (d + 1), table_budget, "exact census table")
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
     M = G.mul
-    # wp[a, b] = w(ab): first the index of the componentwise product ab in
-    # G^d, then the word's value there (one n^{2d} array, not two).
-    wp = np.zeros((size, size), dtype=np.int64)
-    for c, r in zip(_tables.coordinate_columns(n, d), _tables.radices(n, d)):
-        wp += M[c[:, None], c[None, :]] * r
-    wp = wv[wp]
+    every = np.arange(size, dtype=np.int64)
+    wp = wv[_tables.product_index(G, d, every, every)]  # wp[a, b] = w(ab)
     winv = G.inv[wv]
-    xn = np.arange(size, dtype=np.int64) * n
+    xn = every * n
     # Both histograms are keyed x * n + y; wp[s, x] = w(sx), wp[x, u] = w(xu).
     keys = M[winv[:, None], wp]
     keys += xn[None, :]
@@ -281,36 +274,30 @@ def _as_flags(S, size: int) -> np.ndarray:
 
 
 def _translate_tables(S, G: GroupTable, d: int, table_budget: int):
-    """c(g) = |S ∩ gS| and p(g) = |S ∩ Sg^-1| for every g in G^d.
+    """Quotient histograms over S^2, for every g in G^d:
 
-    p(g) also counts the ordered pairs (s, t) in S^2 with s^-1 t = g, which
-    is what makes both the pair count and the triple count linear scans.
+        c(g) = #{(z, y) in S^2 : y z^-1 = g} = |S ∩ gS|,
+        p(g) = #{(s, t) in S^2 : s^-1 t = g} = |S ∩ Sg^-1|.
+
+    Swapping y and z shows c(g^-1) = c(g).  Each is one ``np.bincount`` of
+    |S|^2 quotients; ``table_budget`` still bounds (d+1) |G|^d |S| cells.
     """
-    n = G.n
-    size = n ** d
-    flags = _as_flags(S, size)
-    members = np.nonzero(flags)[0]
-    m = len(members)
-    _tables.check_table_budget(size * m * (d + 1), table_budget)
-    M, inv = G.mul, G.inv
-    rads = _tables.radices(n, d)
-    gcols = _tables.coordinate_columns(n, d)
-    mcols = [c[members] for c in gcols]
+    size = G.n ** d
+    members = np.nonzero(_as_flags(S, size))[0]
+    check_budget(size * len(members) * (d + 1), table_budget,
+                 "translate table")
+    inverses = _tables.inverse_index(G, d)[members]
+    c = np.bincount(_tables.product_index(G, d, members, inverses).ravel(),
+                    minlength=size)
+    p = np.bincount(_tables.product_index(G, d, inverses, members).ravel(),
+                    minlength=size)
+    return c, p
 
-    left = np.zeros((size, m), dtype=np.int64)   # g^-1 * member
-    right = np.zeros((m, size), dtype=np.int64)  # member * g
-    for i in range(d):
-        left += M[inv[gcols[i]][:, None], mcols[i][None, :]] * rads[i]
-        right += M[mcols[i][:, None], gcols[i][None, :]] * rads[i]
-    # y in S ∩ gS  <=>  y in S and g^-1 y in S; sum over y in S.
-    c = flags[left].sum(axis=1, dtype=np.int64)
-    # y in S ∩ Sg^-1  <=>  y in S and y g in S.
-    p = flags[right].sum(axis=0, dtype=np.int64)
 
-    inv_index = np.zeros(size, dtype=np.int64)
-    for i in range(d):
-        inv_index += inv[gcols[i]] * rads[i]
-    return c, p, inv_index
+def _pairs_reaching(c, p, threshold: Fraction, size: int) -> int:
+    """Pairs counted by p whose quotient g has c(g) >= threshold * size."""
+    thr = Fraction(threshold)
+    return int(p[c * thr.denominator >= thr.numerator * size].sum())
 
 
 def translate_pair_count(
@@ -318,13 +305,10 @@ def translate_pair_count(
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> int:
     """Ordered pairs (s, t) in S^2 whose translate overlap |sS ∩ tS| reaches
-    threshold * |G|^d.  The overlap depends only on g = s^-1 t, and the pairs
-    with a given quotient g number |S ∩ Sg^-1|."""
-    thr = Fraction(threshold)
-    size = G.n ** d
-    c, p, _ = _translate_tables(S, G, d, table_budget)
-    qualifying = c * thr.denominator >= thr.numerator * size
-    return int(p[qualifying].sum())
+    threshold * |G|^d.  The overlap is |S ∩ gS| = c(g) for g = s^-1 t, and
+    the pairs with quotient g number p(g) (see ``_translate_tables``)."""
+    c, p = _translate_tables(S, G, d, table_budget)
+    return _pairs_reaching(c, p, threshold, G.n ** d)
 
 
 def triple_count(
@@ -335,16 +319,14 @@ def triple_count(
     """Ordered triples (s, t, u) in S^3 with s^-1 t u in S.
 
     For fixed (s, t) the valid u form S ∩ (t^-1 s) S, of size c((s^-1 t)^-1);
-    grouping pairs by their quotient gives sum over g of p(g) c(g^-1).
+    grouping pairs by their quotient gives the sum over g of p(g) c(g^-1),
+    and c(g^-1) = c(g) makes that the dot product p . c of the quotient
+    histograms of ``_translate_tables``.
     """
-    flags = _as_flags(S, G.n ** d)
-    m = int(flags.sum())
-    if m * m > iter_budget:
-        raise BudgetExceededError(
-            f"triple count needs {m * m} pair iterations, budget {iter_budget}"
-        )
-    c, p, inv_index = _translate_tables(S, G, d, table_budget)
-    return int((p * c[inv_index]).sum())
+    m = int(_as_flags(S, G.n ** d).sum())
+    check_budget(m * m, iter_budget, "triple count")
+    c, p = _translate_tables(S, G, d, table_budget)
+    return int(p @ c)
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -436,12 +418,12 @@ def verify_theorem(
     pass_pairs = pass_triples = pass_chain = None
     if size * s_size * (d + 1) <= table_budget and \
             s_size * s_size <= iter_budget:
-        qual = translate_pair_count(flags, G, d, bt.f2, table_budget)
+        c, p = _translate_tables(flags, G, d, table_budget)
+        qual = _pairs_reaching(c, p, bt.f2, size)
         pass_pairs = Fraction(qual) >= required_pairs
-        triples = triple_count(flags, G, d, iter_budget, table_budget)
+        triples = int(p @ c)
         pass_triples = Fraction(triples) >= required_triples
-        checks.append("pairs")
-        checks.append("triples")
+        checks += ["pairs", "triples"]
         if census.mode == "exact":
             pass_chain = census.count >= triples
             checks.append("chain")
@@ -474,11 +456,7 @@ def power_equation_count(
 ) -> int:
     """|{(x, y, z) in G^3 : (xyz)^e = x^e y^e z^e}|, by direct iteration."""
     n = G.n
-    if n ** 3 > iter_budget:
-        raise BudgetExceededError(
-            f"power equation census needs {n ** 3} iterations, "
-            f"budget {iter_budget}"
-        )
+    check_budget(n ** 3, iter_budget, "power equation census")
     M = G.mul
     pe = power_table(G, e)
     pow_prod = M[pe[:, None], pe[None, :]]  # x^e y^e

@@ -6,7 +6,7 @@ prints it as canonical JSON (or a text rendering) and exits with:
     0  every check in scope passed
     1  a mathematical check failed
     2  usage, parse, or validation error
-    3  a configured budget would be exceeded
+    3  a configured budget would be exceeded, or memory ran out
 
 Reports embed the full run configuration, which holds only the flags given
 and their fixed defaults.  With one exception a report is byte-identical
@@ -421,6 +421,10 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        detail = f": {exc}" if str(exc) else ""
+        print(f"budget exceeded: out of memory{detail}", file=sys.stderr)
         return EXIT_BUDGET
     report = {
         "config": asdict(cfg),

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._tables import DEFAULT_TABLE_BUDGET, check_table_budget
+from ._tables import DEFAULT_TABLE_BUDGET
 from .bounds import check_rho, f1, f2, parse_rat, rat_str
+from .errors import check_budget
 from .rng import SplitMix64, derive_seed, randbelow_rows
 
 
@@ -287,7 +288,7 @@ def load_family(path_or_file, label: str = "",
         if x_size < 1 or i_size < 1:
             raise ValueError(f"bad family header: {header} (X and I must be "
                              "positive)")
-        check_table_budget(x_size * i_size, table_budget)
+        check_budget(x_size * i_size, table_budget, "membership matrix")
         sets = np.zeros((i_size, x_size), dtype=bool)
         for i in range(i_size):
             line = fh.readline()

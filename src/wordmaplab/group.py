@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import check_budget
 
 DEFAULT_ORDER_BUDGET = 2000
 
@@ -132,17 +132,10 @@ def _finish(mul, labels, name) -> GroupTable:
     return G
 
 
-def _check_budget(order: int, budget: int, what: str) -> None:
-    if order > budget:
-        raise BudgetExceededError(
-            f"{what} has order {order}, over the budget of {budget}"
-        )
-
-
 def cyclic(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     if n < 1:
         raise GroupSpecError("cyclic group needs n >= 1")
-    _check_budget(n, budget, f"C{n}")
+    check_budget(n, budget, f"building C{n}")
     ids = np.arange(n, dtype=np.int64)
     labels = ["e"] + [f"g{'' if k == 1 else '^' + str(k)}" for k in range(1, n)]
     return _finish((ids[:, None] + ids) % n, labels, f"C{n}")
@@ -152,7 +145,7 @@ def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     """Dihedral group of order 2n: ids 0..n-1 are r^i, n..2n-1 are s r^i."""
     if n < 1:
         raise GroupSpecError("dihedral group needs n >= 1")
-    _check_budget(2 * n, budget, f"D{n}")
+    check_budget(2 * n, budget, f"building D{n}")
     ids = np.arange(n, dtype=np.int64)
     add = (ids[:, None] + ids) % n     # r^i r^j = r^(i+j)
     sub = (ids - ids[:, None]) % n     # r^i (s r^j) = s r^(j-i)
@@ -165,7 +158,7 @@ def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
 
 def quaternion(budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     """The quaternion group Q8 on {1,-1,i,-i,j,-j,k,-k}."""
-    _check_budget(8, budget, "Q8")
+    check_budget(8, budget, "building Q8")
     units = ["1", "i", "j", "k"]
     # unit products: table[u][v] = (sign, unit index)
     utab = {
@@ -237,10 +230,8 @@ def closure(
         new_codes, first = np.unique(codes[fresh], return_index=True)
         if not new_codes.size:
             break
-        if n + new_codes.size > budget:
-            raise BudgetExceededError(
-                f"closure exceeded the order budget of {budget}"
-            )
+        check_budget(n + new_codes.size, budget,
+                     f"closure of {name or 'the generators'}")
         level = prods[fresh][np.sort(first)]
         levels.append(level)
         known = np.union1d(known, new_codes)
@@ -290,7 +281,7 @@ def direct_product(A: GroupTable, B: GroupTable,
                    budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     """Componentwise product; id of (a, b) is a * B.n + b, so (0,0) = 0."""
     n = A.n * B.n
-    _check_budget(n, budget, f"{A.name}x{B.name}")
+    check_budget(n, budget, f"building {A.name}x{B.name}")
     mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :])
     labels = [
         f"({la},{lb})" for la in A.labels for lb in B.labels

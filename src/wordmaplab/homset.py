@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _tables
-from .errors import BudgetExceededError
+from .errors import check_budget
 from .freeword import Word, reduce
 from .group import GroupTable, greedy_generators
 
@@ -109,10 +109,7 @@ def endomorphisms(
     gs = generating_sequence(G)
     k = len(gs.generators)
     total = n ** k
-    if total > budget:
-        raise BudgetExceededError(
-            f"endomorphism search needs {total} candidates, budget {budget}"
-        )
+    check_budget(total, budget, "endomorphism search")
     M = G.mul
     right = M[:, list(gs.generators)]  # right[e, j] = e * g_j
     body = [e for e in gs.order if e != 0]
@@ -167,10 +164,7 @@ def homs_power(
         raise ValueError("d must be >= 1")
     endos = endomorphisms(G, budget)
     k = len(endos)
-    if k ** d > budget:
-        raise BudgetExceededError(
-            f"hom enumeration needs {k ** d} tuples, budget {budget}"
-        )
+    check_budget(k ** d, budget, "hom enumeration")
     if d == 1:
         return endos, np.arange(k, dtype=np.int64)[:, None]
     # pair_ok[i, j]: the images of endos i and j commute elementwise, that
@@ -189,12 +183,7 @@ def homs_power(
     # time, is the product order of the admissible d-tuples.
     tuples = np.argwhere(pair_ok)
     for c in range(2, d):
-        m = len(tuples)
-        if m * k * (c + 1) > budget:
-            raise BudgetExceededError(
-                f"hom enumeration extends {m} tuples by {k} endomorphisms "
-                f"into up to {m * k * (c + 1)} ids, budget {budget}"
-            )
+        check_budget(len(tuples) * k * (c + 1), budget, "hom extension")
         ok = pair_ok[tuples[:, 0]]
         for i in range(1, c):
             ok &= pair_ok[tuples[:, i]]
@@ -251,7 +240,7 @@ def agreement_count(
 def best_agreement(
     w: Word, G: GroupTable, d: int,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    iter_budget: int = _tables.DEFAULT_TABLE_BUDGET,
+    table_budget: int = _tables.DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
     homs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Fraction, np.ndarray]:
@@ -260,7 +249,7 @@ def best_agreement(
 
     Ties go to the earliest hom in enumeration order, so the witness is
     deterministic.  Scoring compares every hom with w on all of G^d, and
-    that many cells must fit ``iter_budget``.  ``wv`` is as in
+    that many cells must fit ``table_budget``.  ``wv`` is as in
     ``agreement_set``; ``homs`` is ``homs_power(G, d, hom_budget)`` when the
     caller already has it.
     """
@@ -270,9 +259,9 @@ def best_agreement(
         homs = homs_power(G, d, hom_budget)
     endos, tuples = homs
     size = G.n ** d
-    _tables.check_table_budget(len(tuples) * size, iter_budget)
+    check_budget(len(tuples) * size, table_budget, "hom scoring")
     if wv is None:
-        wv = _tables.word_values(w, G, d, iter_budget)
+        wv = _tables.word_values(w, G, d, table_budget)
     M = G.mul
     step = max(1, BLOCK_CELLS // size)
     counts = np.concatenate([

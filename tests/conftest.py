@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wordmaplab import build
-from wordmaplab._tables import coordinate_columns, radices, word_values
+from wordmaplab._tables import coordinate_columns, word_values
 from wordmaplab.census import CHUNK
 from wordmaplab.rng import GOLDEN, MASK64, SplitMix64, derive_seed
 
@@ -82,7 +82,7 @@ def plane_census(w, G, d):
     M, inv = G.mul, G.inv
     wv = word_values(w, G, d)
     cols = coordinate_columns(n, d)
-    rads = radices(n, d)
+    rads = [n ** (d - 1 - i) for i in range(d)]  # place values
     # Per-coordinate planes of s^-1 t over (s, t).
     planes = [M[inv[c][:, None], c[None, :]] for c in cols]
     winv_w = M[inv[wv][:, None], wv[None, :]]  # w(s)^-1 w(t)

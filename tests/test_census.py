@@ -28,7 +28,7 @@ from wordmaplab.census import (
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import EMPTY, derived_word, parse_word, reduce
 from wordmaplab.group import GroupTable
-from wordmaplab.homset import best_agreement
+from wordmaplab.homset import agreement_set, best_agreement, endomorphisms
 from wordmaplab.rng import SplitMix64
 from wordmaplab._tables import evaluate_word, word_values
 
@@ -339,17 +339,66 @@ def test_triple_count_closed_sets(groups):
     assert triple_count(sub, G, 1) == 8
 
 
+def tuple_ops(G, d):
+    """Componentwise product and inverse of G^d indices, one coordinate at a
+    time, with the index order of ``itertools.product`` (last fastest)."""
+    tuples = list(itertools.product(range(G.n), repeat=d))
+    index = {t: i for i, t in enumerate(tuples)}
+
+    def mul(a, b):
+        return index[tuple(int(G.mul[x, y])
+                           for x, y in zip(tuples[a], tuples[b]))]
+
+    def inv(a):
+        return index[tuple(int(G.inv[x]) for x in tuples[a])]
+
+    return mul, inv
+
+
+def random_members(gen, size, count):
+    """A random nonempty member list of at most ``count`` indices."""
+    draws = 1 + gen.randbelow(count)
+    return sorted({gen.randbelow(size) for _ in range(draws)})
+
+
 def test_triple_count_oracle(groups):
-    G = groups["S3"]
     gen = SplitMix64(4242)
-    for _ in range(15):
-        members = sorted({gen.randbelow(6) for _ in range(1 + gen.randbelow(4))})
-        S = flags_for(G, members)
-        brute = sum(
-            S[G.mul[G.mul[G.inv[s]][t]][u]]
-            for s, t, u in itertools.product(members, repeat=3)
-        )
-        assert triple_count(S, G, 1) == brute
+    for spec, d, count, rounds in (("S3", 1, 4, 15), ("S3", 2, 14, 6),
+                                   ("Q8", 2, 20, 6)):
+        G = groups[spec]
+        size = G.n ** d
+        mul, inv = tuple_ops(G, d)
+        for _ in range(rounds):
+            members = random_members(gen, size, count)
+            S = np.zeros(size, dtype=bool)
+            S[members] = True
+            brute = sum(
+                S[mul(mul(inv(s), t), u)]
+                for s, t, u in itertools.product(members, repeat=3)
+            )
+            assert triple_count(S, G, d) == brute, (spec, d, members)
+
+
+def test_translate_pair_count_oracle(groups):
+    # |sS ∩ tS| taken literally, as the intersection of the two translates.
+    gen = SplitMix64(977)
+    for spec, d, count in (("S3", 1, 6), ("S3", 2, 40), ("Q8", 2, 70)):
+        G = groups[spec]
+        size = G.n ** d
+        mul, _ = tuple_ops(G, d)
+        draws = [random_members(gen, size, count) for _ in range(6)]
+        for members in draws + [list(range(size))]:
+            S = np.zeros(size, dtype=bool)
+            S[members] = True
+            translates = {s: {mul(s, x) for x in members} for s in members}
+            for thr in (Fraction(0), Fraction(1, 7), Fraction(1, 2),
+                        Fraction(1)):
+                brute = sum(
+                    len(translates[s] & translates[t]) >= thr * size
+                    for s, t in itertools.product(members, repeat=2)
+                )
+                assert translate_pair_count(S, G, d, thr) == brute, \
+                    (spec, d, members, thr)
 
 
 def test_triple_count_budget(groups):
@@ -385,6 +434,23 @@ def test_verify_theorem_s3_square(groups):
         for s, t, u in itertools.product(members, repeat=3)
     )
     assert brute == rep.triples
+
+
+def test_verify_theorem_counts_match_public_functions(groups):
+    # verify_theorem builds the translate tables once itself; its pair and
+    # triple figures must still be those of the public functions.  Here S
+    # is not closed under inverses, so the two quotient histograms differ,
+    # and swapping them would change both figures.
+    G = groups["S3"]
+    w = parse_word("x2*x1^2")
+    phi = endomorphisms(G)[[0, 1]]
+    rep = verify_theorem(w, G, 2, hom=phi)
+    assert rep.checks_run == ("census-exact", "pairs", "triples", "chain")
+    S = agreement_set(w, G, phi)
+    assert int(S.sum()) == rep.s_size == 12
+    assert rep.qualifying_pairs == translate_pair_count(
+        S, G, 2, rep.bounds.f2) == 140
+    assert rep.triples == triple_count(S, G, 2)
 
 
 def test_verify_theorem_abelian_saturation(groups):

@@ -6,6 +6,8 @@ import venv
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import wordmaplab.cli as cli
 from wordmaplab.familycheck import (adversarial_families, random_family,
                                     save_family)
@@ -277,6 +279,24 @@ def test_budget_exit(capsys):
                     "--word", "x1^2"]) == 3
     err = capsys.readouterr().err
     assert "budget" in err
+
+
+def test_memory_error_exit(capsys, monkeypatch):
+    # Running out of memory, numpy's allocation failure included, exits 3
+    # with one stderr line and no traceback.
+    numpy_oom = np._core._exceptions._ArrayMemoryError((1 << 40,),
+                                                       np.dtype(np.int64))
+    for exc in (MemoryError(), numpy_oom):
+        def fail(cfg, exc=exc):
+            raise exc
+        monkeypatch.setitem(cli._COMMANDS, "fiber-stats", fail)
+        assert cli.run(["fiber-stats", "--group", "C4",
+                        "--word", "x1^2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: out of memory")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 def test_check_failure_exit(capsys, monkeypatch):

@@ -303,10 +303,10 @@ def test_scoring_budget(groups, capsys):
     # Scoring the 10 endomorphisms of S3 against x1^2 on 6 tuples needs 60
     # cells; the word table alone needs 6.
     w = parse_word("x1^2")
-    assert best_agreement(w, groups["S3"], 1, iter_budget=60)[0] == \
+    assert best_agreement(w, groups["S3"], 1, table_budget=60)[0] == \
         Fraction(2, 3)
     with pytest.raises(BudgetExceededError):
-        best_agreement(w, groups["S3"], 1, iter_budget=59)
+        best_agreement(w, groups["S3"], 1, table_budget=59)
     assert cli.run(["hom-search", "--group", "S3", "--word", "x1^2",
                     "--budget-table", "59"]) == 3
     assert "budget" in capsys.readouterr().err
