@@ -12,8 +12,7 @@ from .census import (CensusResult, CommutingReport, FiberStats, TheoremReport,
                      WordMapTable, count_solutions_exact,
                      dump_word_map_table, estimate_solutions, fiber_stats,
                      load_word_map_table, power_equation_count,
-                     translate_pair_count, triple_count,
-                     verify_commuting_corollary, verify_mann_equivalence,
+                     translate_counts, verify_commuting_corollary,
                      verify_theorem, word_map_table)
 from .errors import BudgetExceededError
 from .familycheck import (FamilyInstance, InfeasibleParametersError,
@@ -45,8 +44,8 @@ __all__ = [
     "WordMapTable", "CensusResult", "FiberStats", "TheoremReport",
     "CommutingReport", "word_map_table", "dump_word_map_table",
     "load_word_map_table", "fiber_stats", "count_solutions_exact",
-    "estimate_solutions", "translate_pair_count", "triple_count",
-    "verify_theorem", "verify_mann_equivalence", "verify_commuting_corollary",
+    "estimate_solutions", "translate_counts", "verify_theorem",
+    "verify_commuting_corollary",
     "power_equation_count",
     "FamilyInstance", "LemmaReport", "InfeasibleParametersError",
     "verify_lemma", "random_family", "fuzz_instances",

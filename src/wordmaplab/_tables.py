@@ -3,7 +3,8 @@
 Tuples (g_1, ..., g_d) over a group of order n are flattened to the index
 g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest.  Both the
 census code and the homomorphism code build on these helpers; the exact
-census and the translate tables share one product kernel, ``product_index``.
+census and the pair/triple step ``census.translate_counts`` share one product
+kernel, ``product_index``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ content is deterministic.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -237,21 +238,23 @@ def _lemma_dict(rep: familycheck.LemmaReport) -> dict:
 
 def _cmd_verify_lemma(cfg: RunConfig):
     if cfg.family_file:
-        inst = familycheck.load_family(cfg.family_file, label=cfg.family_file,
-                                       table_budget=cfg.budget_table)
-        instances = [inst]
+        instances = [familycheck.load_family(
+            cfg.family_file, label=cfg.family_file,
+            table_budget=cfg.budget_table)]
     else:
-        instances = familycheck.adversarial_families()
-        if cfg.fuzz:
-            instances += familycheck.fuzz_instances(cfg.fuzz, cfg.seed)
-    reports = [familycheck.verify_lemma(i) for i in instances]
-    passed = sum(1 for r in reports if r.passed)
-    results = {
-        "instances": len(reports),
-        "passed": passed,
-        "failures": [_lemma_dict(r) for r in reports if not r.passed],
-    }
-    return {"lemma": results}, passed == len(reports)
+        # Fuzz families are drawn and checked one at a time.
+        instances = itertools.chain(
+            familycheck.adversarial_families(),
+            familycheck.fuzz_instances(cfg.fuzz or 0, cfg.seed),
+        )
+    count, failures = 0, []
+    for count, inst in enumerate(instances, 1):
+        rep = familycheck.verify_lemma(inst)
+        if not rep.passed:
+            failures.append(_lemma_dict(rep))
+    results = {"instances": count, "passed": count - len(failures),
+               "failures": failures}
+    return {"lemma": results}, not failures
 
 
 def _cmd_derive_word(cfg: RunConfig):

@@ -12,6 +12,7 @@ round-trip through a one-set-per-line text format.
 from __future__ import annotations
 
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -176,17 +177,16 @@ FUZZ_RHOS = (Fraction(1), Fraction(1, 2), Fraction(1, 3),
 FUZZ_X_SIZES = (10, 40, 100, 300)
 
 
-def fuzz_instances(count: int, seed: int) -> list[FamilyInstance]:
-    """Deterministic stream of random instances over the fuzz grid."""
+def fuzz_instances(count: int, seed: int) -> Iterator[FamilyInstance]:
+    """Deterministic stream of random instances over the fuzz grid, drawn
+    one at a time."""
     rng = SplitMix64(seed)
-    out = []
     for k in range(count):
         rho = FUZZ_RHOS[rng.randbelow(len(FUZZ_RHOS))]
         x_size = FUZZ_X_SIZES[rng.randbelow(len(FUZZ_X_SIZES))]
         i_min = _ceil_frac(rho * x_size)
         i_size = i_min + rng.randbelow(x_size - i_min + 1)
-        out.append(random_family(x_size, i_size, rho, derive_seed(seed, k)))
-    return out
+        yield random_family(x_size, i_size, rho, derive_seed(seed, k))
 
 
 def _windows(x_size: int, starts: list[int], width: int) -> np.ndarray:

@@ -18,10 +18,8 @@ from wordmaplab.census import (
     fiber_stats,
     load_word_map_table,
     power_equation_count,
-    translate_pair_count,
-    triple_count,
+    translate_counts,
     verify_commuting_corollary,
-    verify_mann_equivalence,
     verify_theorem,
     word_map_table,
 )
@@ -312,6 +310,14 @@ def flags_for(G, members):
     return flags
 
 
+def pairs_of(S, G, d, threshold):
+    return translate_counts(S, G, d, threshold)[0]
+
+
+def triples_of(S, G, d, **budgets):
+    return translate_counts(S, G, d, Fraction(0), **budgets)[1]
+
+
 def test_translate_pair_partition_identity(groups):
     # At threshold 0 every pair qualifies, so the count is |S|^2 exactly.
     G = groups["S3"]
@@ -319,24 +325,24 @@ def test_translate_pair_partition_identity(groups):
     for _ in range(20):
         members = {gen.randbelow(G.n) for _ in range(1 + gen.randbelow(5))}
         S = flags_for(G, members)
-        assert translate_pair_count(S, G, 1, Fraction(0)) == len(members) ** 2
+        assert pairs_of(S, G, 1, Fraction(0)) == len(members) ** 2
 
 
 def test_translate_pair_count_extremes(groups):
     G = groups["C6"]
     full = np.ones(6, dtype=bool)
-    assert translate_pair_count(full, G, 1, Fraction(1)) == 36
+    assert pairs_of(full, G, 1, Fraction(1)) == 36
     half = flags_for(G, {0, 1, 2})
-    assert translate_pair_count(half, G, 1, Fraction(1)) == 0
+    assert pairs_of(half, G, 1, Fraction(1)) == 0
     single = flags_for(G, {0})
-    assert translate_pair_count(single, G, 1, Fraction(1, 6)) == 1
+    assert pairs_of(single, G, 1, Fraction(1, 6)) == 1
 
 
 def test_triple_count_closed_sets(groups):
     G = groups["C6"]
-    assert triple_count(np.ones(6, dtype=bool), G, 1) == 216
+    assert triples_of(np.ones(6, dtype=bool), G, 1) == 216
     sub = flags_for(G, {0, 3})  # a subgroup: closed under the equation
-    assert triple_count(sub, G, 1) == 8
+    assert triples_of(sub, G, 1) == 8
 
 
 def tuple_ops(G, d):
@@ -376,7 +382,7 @@ def test_triple_count_oracle(groups):
                 S[mul(mul(inv(s), t), u)]
                 for s, t, u in itertools.product(members, repeat=3)
             )
-            assert triple_count(S, G, d) == brute, (spec, d, members)
+            assert triples_of(S, G, d) == brute, (spec, d, members)
 
 
 def test_translate_pair_count_oracle(groups):
@@ -397,18 +403,55 @@ def test_translate_pair_count_oracle(groups):
                     len(translates[s] & translates[t]) >= thr * size
                     for s, t in itertools.product(members, repeat=2)
                 )
-                assert translate_pair_count(S, G, d, thr) == brute, \
+                assert pairs_of(S, G, d, thr) == brute, \
                     (spec, d, members, thr)
 
 
 def test_triple_count_budget(groups):
     with pytest.raises(BudgetExceededError):
-        triple_count(np.ones(6, dtype=bool), groups["C6"], 1, iter_budget=10)
+        triples_of(np.ones(6, dtype=bool), groups["C6"], 1, iter_budget=10)
+
+
+def test_translate_gate_boundary(groups):
+    # The pair/triple step holds 2 |S|^2 cells at once.  The hom is given,
+    # so hom scoring does not bind, and the census is sampled, so its table
+    # does not either: the step runs at 2 |S|^2 and is left out one below.
+    G = groups["S3"]
+    w = parse_word("x2*x1^2")
+    phi = endomorphisms(G)[[0, 1]]
+    S = agreement_set(w, G, phi)
+    m = int(S.sum())
+    f2 = bound_triple(Fraction(m, 36)).f2
+    rep = verify_theorem(w, G, 2, hom=phi, samples=1000,
+                         table_budget=2 * m * m)
+    assert rep.checks_run == ("census-estimate", "pairs", "triples")
+    assert (rep.qualifying_pairs, rep.triples) == translate_counts(
+        S, G, 2, f2, table_budget=2 * m * m)
+    rep = verify_theorem(w, G, 2, hom=phi, samples=1000,
+                         table_budget=2 * m * m - 1)
+    assert rep.qualifying_pairs is None and rep.triples is None
+    assert rep.pass_pairs is None and rep.pass_triples is None
+    assert rep.checks_run == ("census-estimate",)
+    with pytest.raises(BudgetExceededError):
+        translate_counts(S, G, 2, f2, table_budget=2 * m * m - 1)
+    # The |S|^2 iteration gate skips the step the same way.
+    rep = verify_theorem(w, G, 2, hom=phi, samples=1000,
+                         iter_budget=m * m - 1)
+    assert rep.checks_run == ("census-estimate",)
+
+
+def test_exact_census_table_gate(groups):
+    # The census holds three |G|^{2d} tables at once: 3 * 36 = 108 at d = 1.
+    w = parse_word("x1^2")
+    with pytest.raises(BudgetExceededError):
+        count_solutions_exact(w, groups["S3"], 1, table_budget=107)
+    assert count_solutions_exact(w, groups["S3"], 1,
+                                 table_budget=108).count == 108
 
 
 def test_empty_set_rejected(groups):
     with pytest.raises(ValueError):
-        triple_count(np.zeros(6, dtype=bool), groups["C6"], 1)
+        triples_of(np.zeros(6, dtype=bool), groups["C6"], 1)
 
 
 def test_verify_theorem_s3_square(groups):
@@ -437,10 +480,10 @@ def test_verify_theorem_s3_square(groups):
 
 
 def test_verify_theorem_counts_match_public_functions(groups):
-    # verify_theorem builds the translate tables once itself; its pair and
-    # triple figures must still be those of the public functions.  Here S
-    # is not closed under inverses, so the two quotient histograms differ,
-    # and swapping them would change both figures.
+    # verify_theorem's pair and triple figures are those of translate_counts
+    # at the f2 threshold.  Here S is not closed under inverses, so the two
+    # quotient histograms differ, and swapping them would change both
+    # figures.
     G = groups["S3"]
     w = parse_word("x2*x1^2")
     phi = endomorphisms(G)[[0, 1]]
@@ -448,9 +491,9 @@ def test_verify_theorem_counts_match_public_functions(groups):
     assert rep.checks_run == ("census-exact", "pairs", "triples", "chain")
     S = agreement_set(w, G, phi)
     assert int(S.sum()) == rep.s_size == 12
-    assert rep.qualifying_pairs == translate_pair_count(
-        S, G, 2, rep.bounds.f2) == 140
-    assert rep.triples == triple_count(S, G, 2)
+    assert (rep.qualifying_pairs, rep.triples) == translate_counts(
+        S, G, 2, rep.bounds.f2)
+    assert rep.qualifying_pairs == 140
 
 
 def test_verify_theorem_abelian_saturation(groups):
@@ -502,11 +545,15 @@ def test_power_equation_count_oracle(groups):
 
 
 def test_verify_mann(groups):
+    def mann_holds(e, G):
+        derived = count_solutions_exact(reduce([(1, e)]), G, 1).count
+        return power_equation_count(e, G) == derived
+
     for spec in ("S3", "C6"):
         for e in (-1, 2, 3):
-            assert verify_mann_equivalence(e, groups[spec])
+            assert mann_holds(e, groups[spec])
     # e = 1 degenerates to a tautology on both sides
-    assert verify_mann_equivalence(1, groups["Q8"])
+    assert mann_holds(1, groups["Q8"])
 
 
 def test_verify_commuting_corollary_nonabelian(groups):

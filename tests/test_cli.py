@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import subprocess
+import tracemalloc
 import venv
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +104,22 @@ def test_verify_lemma_suite(capsys):
     assert code == 0
     assert rep["results"]["lemma"]["instances"] == \
         len(adversarial_families()) + 25
+
+
+def test_verify_lemma_fuzz_streams(capsys):
+    # Fuzz families are drawn and checked one at a time, so the peak does
+    # not grow with --fuzz; holding all 1000 families took about 20 MB.
+    tracemalloc.start()
+    try:
+        code = cli.run(["verify-lemma", "--fuzz", "1000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["lemma"]["instances"] == \
+        len(adversarial_families()) + 1000
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_verify_lemma_file(tmp_path, capsys):

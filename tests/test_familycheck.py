@@ -96,7 +96,7 @@ def test_verify_lemma_brute_force_oracle():
 
 
 def test_verify_lemma_matches_int64_product():
-    for inst in adversarial_families() + fuzz_instances(100, seed=2):
+    for inst in adversarial_families() + list(fuzz_instances(100, seed=2)):
         m = inst.sets.astype(np.int64)
         thr = f2(inst.rho) * inst.x_size
         want = int(((m @ m.T) * thr.denominator >= thr.numerator).sum())
@@ -199,8 +199,8 @@ def test_random_family_infeasible():
 
 
 def test_fuzz_instances_deterministic_and_passing():
-    a = fuzz_instances(60, seed=2026)
-    b = fuzz_instances(60, seed=2026)
+    a = list(fuzz_instances(60, seed=2026))
+    b = list(fuzz_instances(60, seed=2026))
     assert len(a) == 60
     for ia, ib in zip(a, b):
         assert np.array_equal(ia.sets, ib.sets)
