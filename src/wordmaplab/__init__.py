@@ -9,11 +9,9 @@ CLI and report formats.
 from .bounds import (BoundTriple, Rational, ceil_two_over, commuting_bound,
                      f, f1, f2, parse_rat, rat_str)
 from .census import (CensusResult, CommutingReport, FiberStats, TheoremReport,
-                     WordMapTable, count_solutions_exact,
-                     dump_word_map_table, estimate_solutions, fiber_stats,
-                     load_word_map_table, power_equation_count,
-                     translate_counts, verify_commuting_corollary,
-                     verify_theorem, word_map_table)
+                     count_solutions_exact, estimate_solutions, fiber_stats,
+                     power_equation_count, translate_counts,
+                     verify_commuting_corollary, verify_theorem)
 from .errors import BudgetExceededError
 from .familycheck import (FamilyInstance, InfeasibleParametersError,
                           LemmaReport, adversarial_families, fuzz_instances,
@@ -25,9 +23,9 @@ from .freeword import (Word, WordParseError, derived_word, invert,
 from .group import (GroupSpecError, GroupTable, build, centralizer_size,
                     closure, commuting_probability, conjugacy_class_count,
                     is_abelian)
-from .homset import (GeneratingSequence, agreement_count, agreement_set,
-                     automorphisms, best_agreement, endomorphisms,
-                     generating_sequence, homs_power, power_agreement_profile)
+from .homset import (GeneratingSequence, agreement_set, automorphisms,
+                     best_agreement, endomorphisms, generating_sequence,
+                     homs_power, power_agreement_profile)
 
 __version__ = "0.1.0"
 
@@ -39,13 +37,11 @@ __all__ = [
     "GroupTable", "GroupSpecError", "build", "closure", "is_abelian",
     "centralizer_size", "commuting_probability", "conjugacy_class_count",
     "GeneratingSequence", "generating_sequence",
-    "endomorphisms", "automorphisms", "homs_power", "agreement_count",
-    "agreement_set", "best_agreement", "power_agreement_profile",
-    "WordMapTable", "CensusResult", "FiberStats", "TheoremReport",
-    "CommutingReport", "word_map_table", "dump_word_map_table",
-    "load_word_map_table", "fiber_stats", "count_solutions_exact",
-    "estimate_solutions", "translate_counts", "verify_theorem",
-    "verify_commuting_corollary",
+    "endomorphisms", "automorphisms", "homs_power", "agreement_set",
+    "best_agreement", "power_agreement_profile",
+    "CensusResult", "FiberStats", "TheoremReport", "CommutingReport",
+    "fiber_stats", "count_solutions_exact", "estimate_solutions",
+    "translate_counts", "verify_theorem", "verify_commuting_corollary",
     "power_equation_count",
     "FamilyInstance", "LemmaReport", "InfeasibleParametersError",
     "verify_lemma", "random_family", "fuzz_instances",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import check_budget
 from .freeword import Word
-from .group import GroupTable, element_power, power_table
+from .group import GroupTable, power_table
 
 DEFAULT_TABLE_BUDGET = 100_000_000  # entries, not bytes
 
@@ -67,12 +67,3 @@ def evaluate_columns(w: Word, G: GroupTable, cols, size: int) -> np.ndarray:
         vals = G.mul[vals, power_table(G, exp)[cols[var - 1]]]
     return vals
 
-
-def evaluate_word(w: Word, G: GroupTable, assignment) -> int:
-    """Scalar evaluation of w at one assignment (ids, 1-based variables)."""
-    if w.arity > len(assignment):
-        raise ValueError("assignment shorter than word arity")
-    acc = 0
-    for var, exp in w.syllables:
-        acc = G.mul.item(acc, element_power(G, assignment[var - 1], exp))
-    return acc

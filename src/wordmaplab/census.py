@@ -16,8 +16,7 @@ intermediate pair/triple counts against it.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,8 @@ from .bounds import BoundTriple, commuting_bound, f as bound_triple
 from .errors import BudgetExceededError, check_budget
 from .freeword import Word, derived_word
 from .group import GroupTable, commuting_probability, power_table
-from .homset import agreement_set, best_agreement
+from .homset import (DEFAULT_CANDIDATE_BUDGET, agreement_set,
+                     best_agreement)
 from .rng import derive_seed, randbelow_block
 
 DEFAULT_ITER_BUDGET = 1_000_000_000
@@ -54,55 +54,6 @@ def _sqrt_fraction(q: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class WordMapTable:
-    """Word map over G^d, flattened mixed-radix (last coordinate fastest)."""
-
-    d: int
-    n: int
-    values: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        if len(self.values) != self.n ** self.d:
-            raise ValueError("table length must be n^d")
-
-
-def word_map_table(
-    w: Word, G: GroupTable, d: int | None = None,
-    budget: int = DEFAULT_TABLE_BUDGET,
-) -> WordMapTable:
-    """Evaluate w over all of G^d (d defaults to the word's arity)."""
-    if d is None:
-        d = max(w.arity, 1)
-    vals = _tables.word_values(w, G, d, budget)
-    return WordMapTable(d=d, n=G.n, values=vals)
-
-
-WMT_MAGIC = b"WMT1"
-
-
-def dump_word_map_table(table: WordMapTable, path) -> None:
-    """Binary dump: 8-byte header (magic, d, n as little-endian u16), then
-    values as little-endian 32-bit ids in index order."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHH", WMT_MAGIC, table.d, table.n))
-        fh.write(np.ascontiguousarray(table.values, dtype="<i4").tobytes())
-
-
-def load_word_map_table(path) -> WordMapTable:
-    """Read a ``dump_word_map_table`` file; any malformed file raises
-    ValueError."""
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != WMT_MAGIC:
-            raise ValueError("not a word map table dump")
-        _, d, n = struct.unpack("<4sHH", head)
-        vals = np.frombuffer(fh.read(), dtype="<i4").astype(np.int64)
-    if vals.size and not 0 <= vals.min() <= vals.max() < n:
-        raise ValueError(f"element ids outside [0, {n})")
-    return WordMapTable(d=d, n=n, values=vals)
-
-
-@dataclass(frozen=True)
 class FiberStats:
     """Distribution of word-map values over G^d."""
 
@@ -121,17 +72,19 @@ def fiber_stats(
     w: Word, G: GroupTable, d: int | None = None,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> FiberStats:
-    t = word_map_table(w, G, d, budget)
-    counts = np.bincount(t.values, minlength=G.n)
+    """Fiber sizes of w over G^d (d defaults to the word's arity)."""
+    if d is None:
+        d = max(w.arity, 1)
+    counts = np.bincount(_tables.word_values(w, G, d, budget), minlength=G.n)
     hist: dict[int, int] = {}
     for c in counts.tolist():
         hist[c] = hist.get(c, 0) + 1
     return FiberStats(
-        d=t.d,
+        d=d,
         n=G.n,
         counts=tuple(int(c) for c in counts),
         histogram=hist,
-        max_fiber=Fraction(int(counts.max()), G.n ** t.d),
+        max_fiber=Fraction(int(counts.max()), G.n ** d),
     )
 
 
@@ -343,7 +296,7 @@ class TheoremReport:
 def verify_theorem(
     w: Word, G: GroupTable, d: int | None = None, *,
     samples: int | None = None, seed: int = 0,
-    hom_budget: int = 10_000_000,
+    hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     iter_budget: int = DEFAULT_ITER_BUDGET,
     table_budget: int = DEFAULT_TABLE_BUDGET,
     hom: np.ndarray | None = None,
@@ -464,7 +417,7 @@ class CommutingReport:
 def verify_commuting_corollary(
     G: GroupTable, *,
     equation_samples: int = 1000, seed: int = 0,
-    hom_budget: int = 10_000_000,
+    hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> CommutingReport:
     """Check cp(G) >= eps/(2 - eps) at eps = f(rho*) for w = x1 x2, and

@@ -38,33 +38,29 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_ITER = census.DEFAULT_ITER_BUDGET
-DEFAULT_HOM = homset.DEFAULT_CANDIDATE_BUDGET
-DEFAULT_ORDER = group.DEFAULT_ORDER_BUDGET
-DEFAULT_TABLE = census.DEFAULT_TABLE_BUDGET
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full flag set of one run; embedded verbatim in every report."""
+    """Full flag set of one run; embedded verbatim in every report.  Built
+    from the parsed arguments only, so argparse holds every default."""
 
     subcommand: str
-    group: str | None = None
-    word: str | None = None
-    d: int | None = None
-    e: int | None = None
-    exact: bool = True
-    samples: int | None = None
-    seed: int = 0
-    budget_iter: int = DEFAULT_ITER
-    budget_hom: int = DEFAULT_HOM
-    budget_order: int = DEFAULT_ORDER
-    budget_table: int = DEFAULT_TABLE
-    format: str = "json"
-    out: str | None = None
-    fuzz: int | None = None
-    family_file: str | None = None
-    hom_file: str | None = None
+    group: str | None
+    word: str | None
+    d: int | None
+    e: int | None
+    exact: bool
+    samples: int | None
+    seed: int
+    budget_iter: int
+    budget_hom: int
+    budget_order: int
+    budget_table: int
+    format: str
+    out: str | None
+    fuzz: int | None
+    family_file: str | None
+    hom_file: str | None
 
     def validate(self) -> None:
         if self.samples is not None and self.samples < census.MIN_SAMPLES:
@@ -147,8 +143,9 @@ def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> np.ndarray:
             f'hom file must be an object with "components": {d} tables'
         )
     for tab in comps:
+        # type(), not isinstance(): JSON true and false are ints to Python.
         if not isinstance(tab, list) or len(tab) != G.n or not all(
-            isinstance(v, int) and 0 <= v < G.n for v in tab
+            type(v) is int and 0 <= v < G.n for v in tab
         ):
             raise ValueError("component tables must be lists of n element ids")
     phi = np.array(comps, dtype=np.int64)

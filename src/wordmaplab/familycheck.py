@@ -274,8 +274,9 @@ def save_family(inst: FamilyInstance, path_or_file) -> None:
 
 def load_family(path_or_file, label: str = "",
                 table_budget: int = DEFAULT_TABLE_BUDGET) -> FamilyInstance:
-    """Read the ``save_family`` format.  The I x |X| membership matrix
-    counts against ``table_budget``."""
+    """Read the ``save_family`` format; only blank lines may follow the I
+    set lines.  The I x |X| membership matrix counts against
+    ``table_budget``."""
     def read(fh):
         header = fh.readline().split()
         try:
@@ -305,6 +306,11 @@ def load_family(path_or_file, label: str = "",
                 raise ValueError(
                     f"member index {members[bad.argmax()]} out of range")
             sets[i, members] = True
+        for line_no, line in enumerate(fh, i_size + 2):
+            if line.strip():
+                raise ValueError(
+                    f"line {line_no}: unexpected text after the {i_size} "
+                    "set lines")
         return FamilyInstance(x_size=x_size, rho=rho, sets=sets, label=label)
 
     if isinstance(path_or_file, io.TextIOBase):

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import SplitMix64
-
 Syllable = tuple[int, int]
 
 
@@ -95,13 +93,6 @@ def concat(*words: Word) -> Word:
     for w in words:
         raw.extend(w.syllables)
     return reduce(raw)
-
-
-def power(w: Word, e: int) -> Word:
-    """w repeated e times (inverted first when e < 0), reduced."""
-    if e < 0:
-        return power(invert(w), -e)
-    return concat(*([w] * e))
 
 
 def substitute(w: Word, images: list[Word]) -> Word:
@@ -201,25 +192,3 @@ def parse_word(text: str) -> Word:
         i = j
     return reduce(raw)
 
-
-def random_reduced_word(rng: SplitMix64, length: int, num_vars: int) -> Word:
-    """Uniform-ish reduced word of exactly ``length`` letters.
-
-    Each letter is a (variable, sign) pair chosen so it never cancels the
-    previous letter; used by fuzz suites, deterministic via ``rng``.
-    """
-    if length < 0 or num_vars < 1:
-        raise ValueError("need length >= 0 and num_vars >= 1")
-    raw: list[Syllable] = []
-    prev: Syllable | None = None
-    for _ in range(length):
-        while True:
-            var = 1 + rng.randbelow(num_vars)
-            sign = 1 if rng.randbelow(2) == 0 else -1
-            if prev is None or (var, sign) != (prev[0], -prev[1]):
-                break
-        raw.append((var, sign))
-        prev = (var, sign)
-    w = reduce(raw)
-    assert w.length == length
-    return w

@@ -369,19 +369,6 @@ def element_orders(G: GroupTable) -> np.ndarray:
     return orders
 
 
-def element_power(G: GroupTable, g: int, e: int) -> int:
-    """g^e by square-and-multiply; negative exponents via the inverse."""
-    if e < 0:
-        return element_power(G, G.inv.item(g), -e)
-    acc, base = 0, g
-    while e:
-        if e & 1:
-            acc = G.mul.item(acc, base)
-        base = G.mul.item(base, base)
-        e >>= 1
-    return acc
-
-
 def power_table(G: GroupTable, e: int) -> np.ndarray:
     """The e-th power map as a table over all elements, by square-and-multiply
     on whole arrays; negative exponents via the inverse."""

@@ -45,15 +45,6 @@ class GeneratingSequence:
     parent_elem: tuple[int, ...]
     parent_gen: tuple[int, ...]
 
-    @property
-    def expressions(self) -> list[tuple[int, ...]]:
-        """Per-element words in the generators (tuples of generator indices)."""
-        exprs: dict[int, tuple[int, ...]] = {0: ()}
-        for e in self.order:
-            if e != 0:
-                exprs[e] = exprs[self.parent_elem[e]] + (self.parent_gen[e],)
-        return [exprs[e] for e in range(len(self.order))]
-
 
 def generating_sequence(G: GroupTable) -> GeneratingSequence:
     """Greedy generating sequence (``group.greedy_generators``: repeatedly
@@ -228,13 +219,6 @@ def agreement_set(
     if wv is None:
         wv = _tables.word_values(w, G, d, budget)
     return _hom_values(G.mul, phi[None])[0] == wv
-
-
-def agreement_count(
-    w: Word, G: GroupTable, phi: np.ndarray,
-    budget: int = _tables.DEFAULT_TABLE_BUDGET,
-) -> int:
-    return int(agreement_set(w, G, phi, budget).sum())
 
 
 def best_agreement(

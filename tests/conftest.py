@@ -15,6 +15,7 @@ import pytest
 from wordmaplab import build
 from wordmaplab._tables import coordinate_columns, word_values
 from wordmaplab.census import CHUNK
+from wordmaplab.freeword import Word, reduce
 from wordmaplab.rng import GOLDEN, MASK64, SplitMix64, derive_seed
 
 # The verification battery: every group spec used by the acceptance suite.
@@ -49,6 +50,62 @@ def evaluate_loops(w, mul, inv, tup):
         for _ in range(abs(exp)):
             acc = mul[acc][x]
     return acc
+
+
+def element_power(G, g: int, e: int) -> int:
+    """g^e by square-and-multiply; negative exponents via the inverse."""
+    if e < 0:
+        return element_power(G, G.inv.item(g), -e)
+    acc, base = 0, g
+    while e:
+        if e & 1:
+            acc = G.mul.item(acc, base)
+        base = G.mul.item(base, base)
+        e >>= 1
+    return acc
+
+
+def evaluate_word(w: Word, G, assignment) -> int:
+    """Scalar evaluation of w at one assignment (ids, 1-based variables)."""
+    if w.arity > len(assignment):
+        raise ValueError("assignment shorter than word arity")
+    acc = 0
+    for var, exp in w.syllables:
+        acc = G.mul.item(acc, element_power(G, assignment[var - 1], exp))
+    return acc
+
+
+def random_reduced_word(rng: SplitMix64, length: int, num_vars: int) -> Word:
+    """Uniform-ish reduced word of exactly ``length`` letters.
+
+    Each letter is a (variable, sign) pair chosen so it never cancels the
+    previous letter; used by fuzz suites, deterministic via ``rng``.
+    """
+    if length < 0 or num_vars < 1:
+        raise ValueError("need length >= 0 and num_vars >= 1")
+    raw: list[tuple[int, int]] = []
+    prev: tuple[int, int] | None = None
+    for _ in range(length):
+        while True:
+            var = 1 + rng.randbelow(num_vars)
+            sign = 1 if rng.randbelow(2) == 0 else -1
+            if prev is None or (var, sign) != (prev[0], -prev[1]):
+                break
+        raw.append((var, sign))
+        prev = (var, sign)
+    w = reduce(raw)
+    assert w.length == length
+    return w
+
+
+def expressions(gs) -> list[tuple[int, ...]]:
+    """Per-element words in the generators of the ``GeneratingSequence``
+    ``gs`` (tuples of generator indices)."""
+    exprs: dict[int, tuple[int, ...]] = {0: ()}
+    for e in gs.order:
+        if e != 0:
+            exprs[e] = exprs[gs.parent_elem[e]] + (gs.parent_gen[e],)
+    return [exprs[e] for e in range(len(gs.order))]
 
 
 def naive_census(w, G, d):

@@ -1,5 +1,4 @@
 import itertools
-import struct
 from fractions import Fraction
 
 import numpy as np
@@ -11,41 +10,36 @@ from wordmaplab import build
 from wordmaplab.bounds import commuting_bound, f as bound_triple
 from wordmaplab.census import (
     CHUNK,
-    WordMapTable,
     count_solutions_exact,
-    dump_word_map_table,
     estimate_solutions,
     fiber_stats,
-    load_word_map_table,
     power_equation_count,
     translate_counts,
     verify_commuting_corollary,
     verify_theorem,
-    word_map_table,
 )
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import EMPTY, derived_word, parse_word, reduce
 from wordmaplab.group import GroupTable
 from wordmaplab.homset import agreement_set, best_agreement, endomorphisms
 from wordmaplab.rng import SplitMix64
-from wordmaplab._tables import evaluate_word, word_values
+from wordmaplab._tables import word_values
 
-from conftest import BATTERY_SPECS, estimator_hits, naive_census, plane_census
+from conftest import (BATTERY_SPECS, element_power, estimator_hits,
+                      evaluate_word, naive_census, plane_census)
 
 COMMUTATOR = "x1*x2*x1^-1*x2^-1"
 
 
 def test_word_map_table_pinned(groups):
-    t = word_map_table(parse_word("x1^2"), groups["C3"])
-    assert list(t.values) == [0, 2, 1]
-    assert (t.d, t.n) == (1, 3)
+    assert list(word_values(parse_word("x1^2"), groups["C3"], 1)) == [0, 2, 1]
 
-    ident = word_map_table(parse_word("x1"), groups["S3"])
-    assert list(ident.values) == list(range(6))
+    ident = word_values(parse_word("x1"), groups["S3"], 1)
+    assert list(ident) == list(range(6))
 
-    empty = word_map_table(EMPTY, groups["C4"], d=2)
-    assert not empty.values.any()
-    assert len(empty.values) == 16
+    empty = word_values(EMPTY, groups["C4"], 2)
+    assert not empty.any()
+    assert len(empty) == 16
 
 
 def test_word_map_table_matches_scalar_evaluation(groups):
@@ -53,73 +47,13 @@ def test_word_map_table_matches_scalar_evaluation(groups):
     for spec, d in (("S3", 2), ("Q8", 2), ("A4", 1)):
         G = groups[spec]
         w = parse_word("x1*x2^-1*x1" if d == 2 else "x1^3")
-        t = word_map_table(w, G, d)
+        values = word_values(w, G, d)
         for _ in range(250):
             tup = tuple(gen.randbelow(G.n) for _ in range(d))
             idx = 0
             for g in tup:
                 idx = idx * G.n + g
-            assert t.values[idx] == evaluate_word(w, G, tup)
-
-
-def test_word_map_table_validation():
-    with pytest.raises(ValueError):
-        WordMapTable(d=2, n=3, values=np.zeros(8, dtype=np.int64))
-
-
-def test_dump_load_round_trip(tmp_path, groups):
-    t = word_map_table(parse_word(COMMUTATOR), groups["S3"], 2)
-    path = tmp_path / "table.wmt"
-    dump_word_map_table(t, path)
-    back = load_word_map_table(path)
-    assert (back.d, back.n) == (t.d, t.n)
-    assert np.array_equal(back.values, t.values)
-    assert path.read_bytes()[:4] == b"WMT1"
-
-    bad = tmp_path / "bad.wmt"
-    bad.write_bytes(b"NOPE" + bytes(8))
-    with pytest.raises(ValueError):
-        load_word_map_table(bad)
-
-
-def test_load_word_map_table_rejects_bad_files(tmp_path):
-    path = tmp_path / "bad.wmt"
-    for data in (b"", b"WMT1", b"WMT1\x01\x00\x04"):  # header cut short
-        path.write_bytes(data)
-        with pytest.raises(ValueError):
-            load_word_map_table(path)
-    for bad in (99, -1):  # element ids outside [0, n) for n = 4
-        path.write_bytes(struct.pack("<4sHH", b"WMT1", 1, 4)
-                         + np.array([0, 1, bad, 3], dtype="<i4").tobytes())
-        with pytest.raises(ValueError, match="outside"):
-            load_word_map_table(path)
-
-
-@settings(max_examples=100, deadline=None)
-@given(cut=st.integers(0, 151),
-       edits=st.lists(st.tuples(st.integers(0, 151), st.integers(0, 255)),
-                      max_size=4))
-def test_load_word_map_table_damaged_bytes(tmp_path_factory, groups, cut,
-                                           edits):
-    # A truncated dump never loads; a garbled one loads only as a valid
-    # table, and otherwise raises ValueError.
-    t = word_map_table(parse_word(COMMUTATOR), groups["S3"], 2)
-    path = tmp_path_factory.mktemp("wmt") / "t.wmt"
-    dump_word_map_table(t, path)
-    data = bytearray(path.read_bytes())
-    assert len(data) == 152
-    path.write_bytes(bytes(data[:cut]))
-    with pytest.raises(ValueError):
-        load_word_map_table(path)
-    for pos, byte in edits:
-        data[pos] = byte
-    path.write_bytes(bytes(data))
-    try:
-        back = load_word_map_table(path)
-    except ValueError:
-        return
-    assert len(back.values) == back.n ** back.d
-    assert ((0 <= back.values) & (back.values < back.n)).all()
+            assert values[idx] == evaluate_word(w, G, tup)
 
 
 def test_fiber_stats_pinned(groups):
@@ -530,8 +464,6 @@ def test_verify_theorem_with_given_hom(groups):
 
 
 def test_power_equation_count_oracle(groups):
-    from wordmaplab.group import element_power
-
     G = groups["S3"]
     for e in (-1, 2, 3):
         brute = 0

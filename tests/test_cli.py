@@ -226,6 +226,11 @@ def test_hom_file(tmp_path, capsys):
     assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1*x2",
                     "--d", "2", "--hom", str(hom)]) == 2  # non-list entry
 
+    # JSON booleans are not element ids, though Python counts them as ints.
+    hom.write_text(json.dumps({"components": [[False, True, 2, 3]]}))
+    assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1^2",
+                    "--hom", str(hom)]) == 2
+
 
 def test_hom_file_non_commuting_images(tmp_path, capsys):
     # Two endomorphisms of S3 whose images do not commute elementwise are

@@ -248,6 +248,13 @@ def test_load_family_errors(tmp_path):
     with pytest.raises(ValueError):
         load_family(bad)
 
+    bad.write_text("X=4 I=2 rho=1/2\n0 1\n2 3\n0 2\n")  # more lines than I
+    with pytest.raises(ValueError, match="line 4"):
+        load_family(bad)
+
+    bad.write_text("X=4 I=2 rho=1/2\n0 1\n2 3\n\n  \n")  # trailing blanks
+    assert load_family(bad).i_size == 2
+
 
 @st.composite
 def families(draw):
@@ -278,7 +285,7 @@ def _mutate(text, draw):
     kind is invalid (a garbled line may still parse)."""
     lines = text.splitlines()
     kind = draw(st.sampled_from(["drop", "range", "junk", "header", "huge",
-                                 "garble"]))
+                                 "extra", "garble"]))
     row = draw(st.integers(1, len(lines) - 1))
     if kind == "drop":
         del lines[row]
@@ -295,6 +302,8 @@ def _mutate(text, draw):
     elif kind == "huge":
         lines[row] += " " + draw(st.sampled_from(["9" * 30, "-" + "9" * 30,
                                                   str(2 ** 63)]))
+    elif kind == "extra":
+        lines.append(lines[row])
     else:
         lines[row] = draw(st.text(max_size=12))
     return "\n".join(lines) + "\n", kind != "garble"

@@ -11,14 +11,13 @@ from wordmaplab.freeword import (
     invert,
     is_nontrivial_derived,
     parse_word,
-    power,
-    random_reduced_word,
     reduce,
     substitute,
 )
 from wordmaplab.group import symmetric
 from wordmaplab.rng import SplitMix64
-from wordmaplab._tables import evaluate_word
+
+from conftest import evaluate_word, random_reduced_word
 
 # Random syllable lists, unreduced on purpose.
 syllables = st.lists(
@@ -92,13 +91,6 @@ def test_invert_cancels(raw):
     assert invert(invert(w)) == w
     assert concat(w, invert(w)) == EMPTY
     assert concat(invert(w), w) == EMPTY
-
-
-def test_power():
-    w = parse_word("x1*x2")
-    assert power(w, 0) == EMPTY
-    assert power(w, 2) == parse_word("x1*x2*x1*x2")
-    assert power(w, -1) == invert(w)
 
 
 def test_substitute_pinned():

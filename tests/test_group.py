@@ -18,7 +18,6 @@ from wordmaplab.group import (
     dihedral,
     direct_product,
     element_orders,
-    element_power,
     is_abelian,
     parse_cycles,
     power_table,
@@ -26,6 +25,8 @@ from wordmaplab.group import (
     symmetric,
     validate_table,
 )
+
+from conftest import element_power
 
 ORDERS = {
     "C1": 1, "C2": 2, "C6": 6, "C8": 8, "C2xC2": 4, "C2xC4": 8,

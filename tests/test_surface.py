@@ -1,0 +1,69 @@
+"""Dead-helper guard: every public function or class in the package serves a
+caller.
+
+Each public module-level function or class of ``src/wordmaplab`` must be
+exported through ``wordmaplab.__all__``, be a ``[project.scripts]`` entry
+point, or be named somewhere in ``src/`` outside its own definition (so a
+recursive call does not count).  Helpers used only by tests belong in
+``tests/conftest.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wordmaplab"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(init: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every name in ``__all__``, found through the
+    relative imports of ``__init__.py``."""
+    names: set[str] = set()
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            names = set(ast.literal_eval(node.value))
+    return {(node.module, alias.name)
+            for node in init.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name in names}
+
+
+def _entry_points() -> set[tuple[str, str]]:
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'"wordmaplab\.(\w+):(\w+)"', section))
+
+
+def test_no_dead_public_helpers():
+    modules = _modules()
+    allowed = _exported(modules["__init__"]) | _entry_points()
+    defs = [(mod, node) for mod, tree in modules.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+    assert {("census", "verify_theorem"), ("cli", "main")} <= \
+        {(mod, node.name) for mod, node in defs}
+    # Every name and attribute reference in src/, by node identity.
+    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    dead = []
+    for mod, definition in defs:
+        if (mod, definition.name) in allowed:
+            continue
+        inside = {id(n) for n in ast.walk(definition)}
+        if not any(name == definition.name and id(node) not in inside
+                   for node, name in refs):
+            dead.append(f"{mod}.{definition.name}")
+    assert not dead, f"public helpers nothing in src/ uses: {dead}"
