@@ -6,8 +6,8 @@ solution counts of the associated triple equations.  See the README for the
 CLI and report formats.
 """
 
-from .bounds import (BoundTriple, Rational, ceil_two_over, commuting_bound,
-                     f, f1, f2, parse_rat, rat_str)
+from .bounds import (BoundTriple, ceil_two_over, commuting_bound, f, f1, f2,
+                     parse_rat, rat_str)
 from .census import (CensusResult, CommutingReport, FiberStats, TheoremReport,
                      count_solutions_exact, estimate_solutions, fiber_stats,
                      power_equation_count, translate_counts,
@@ -30,8 +30,8 @@ from .homset import (GeneratingSequence, agreement_set, automorphisms,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundTriple", "Rational", "ceil_two_over", "commuting_bound", "f", "f1",
-    "f2", "parse_rat", "rat_str",
+    "BoundTriple", "ceil_two_over", "commuting_bound", "f", "f1", "f2",
+    "parse_rat", "rat_str",
     "Word", "WordParseError", "parse_word", "reduce", "invert", "substitute",
     "derived_word", "is_nontrivial_derived",
     "GroupTable", "GroupSpecError", "build", "closure", "is_abelian",

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce to an exact Fraction; floats are refused on purpose."""

@@ -22,7 +22,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,42 +38,17 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Full flag set of one run; embedded verbatim in every report.  Built
-    from the parsed arguments only, so argparse holds every default."""
-
-    subcommand: str
-    group: str | None
-    word: str | None
-    d: int | None
-    e: int | None
-    exact: bool
-    samples: int | None
-    seed: int
-    budget_iter: int
-    budget_hom: int
-    budget_order: int
-    budget_table: int
-    format: str
-    out: str | None
-    fuzz: int | None
-    family_file: str | None
-    hom_file: str | None
-
-    def validate(self) -> None:
-        if self.samples is not None and self.samples < census.MIN_SAMPLES:
-            raise ValueError(
-                f"--samples must be >= {census.MIN_SAMPLES}"
-            )
-        for name in ("budget_iter", "budget_hom", "budget_order",
-                     "budget_table"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("--seed must be an unsigned 64-bit integer")
-        if self.fuzz is not None and self.fuzz < 0:
-            raise ValueError("--fuzz must be >= 0")
+def _validate(ns: argparse.Namespace) -> None:
+    """Range checks on the parsed flags, which are the run configuration."""
+    if ns.samples is not None and ns.samples < census.MIN_SAMPLES:
+        raise ValueError(f"--samples must be >= {census.MIN_SAMPLES}")
+    for name in ("budget_iter", "budget_hom", "budget_order", "budget_table"):
+        if getattr(ns, name) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    if not 0 <= ns.seed < 2 ** 64:
+        raise ValueError("--seed must be an unsigned 64-bit integer")
+    if ns.fuzz is not None and ns.fuzz < 0:
+        raise ValueError("--fuzz must be >= 0")
 
 
 def _census_dict(r: census.CensusResult) -> dict:
@@ -121,19 +95,20 @@ def _theorem_dict(rep: census.TheoremReport) -> dict:
     return out
 
 
-def _build_group(cfg: RunConfig) -> group.GroupTable:
+def _build_group(cfg: argparse.Namespace) -> group.GroupTable:
     if not cfg.group:
         raise ValueError("--group is required for this subcommand")
     return group.build(cfg.group, cfg.budget_order)
 
 
-def _parse_word(cfg: RunConfig):
+def _parse_word(cfg: argparse.Namespace):
     if cfg.word is None:
         raise ValueError("--word is required for this subcommand")
     return parse_word(cfg.word)
 
 
-def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> np.ndarray:
+def _load_hom(cfg: argparse.Namespace, G: group.GroupTable,
+              d: int) -> np.ndarray:
     """The (d, n) component table of the hom in ``cfg.hom_file``."""
     with open(cfg.hom_file) as fh:
         data = json.load(fh)
@@ -164,7 +139,7 @@ def _load_hom(cfg: RunConfig, G: group.GroupTable, d: int) -> np.ndarray:
 
 # -- subcommand bodies: each returns (results dict, all-passed flag) ----------
 
-def _cmd_verify_theorem(cfg: RunConfig):
+def _cmd_verify_theorem(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
     d = cfg.d if cfg.d is not None else max(w.arity, 1)
@@ -183,7 +158,7 @@ def _cmd_verify_theorem(cfg: RunConfig):
     return {"theorem": _theorem_dict(rep)}, rep.passed
 
 
-def _cmd_verify_mann(cfg: RunConfig):
+def _cmd_verify_mann(cfg: argparse.Namespace):
     if cfg.e is None:
         raise ValueError("-e is required for verify-mann")
     G = _build_group(cfg)
@@ -202,7 +177,7 @@ def _cmd_verify_mann(cfg: RunConfig):
     return {"mann": results}, equal
 
 
-def _cmd_verify_commuting(cfg: RunConfig):
+def _cmd_verify_commuting(cfg: argparse.Namespace):
     G = _build_group(cfg)
     rep = census.verify_commuting_corollary(
         G, seed=cfg.seed, hom_budget=cfg.budget_hom,
@@ -233,7 +208,7 @@ def _lemma_dict(rep: familycheck.LemmaReport) -> dict:
     }
 
 
-def _cmd_verify_lemma(cfg: RunConfig):
+def _cmd_verify_lemma(cfg: argparse.Namespace):
     if cfg.family_file:
         instances = [familycheck.load_family(
             cfg.family_file, label=cfg.family_file,
@@ -254,7 +229,7 @@ def _cmd_verify_lemma(cfg: RunConfig):
     return {"lemma": results}, not failures
 
 
-def _cmd_derive_word(cfg: RunConfig):
+def _cmd_derive_word(cfg: argparse.Namespace):
     w = _parse_word(cfg)
     v = derived_word(w)
     results = {
@@ -268,7 +243,7 @@ def _cmd_derive_word(cfg: RunConfig):
     return {"derive": results}, True
 
 
-def _cmd_fiber_stats(cfg: RunConfig):
+def _cmd_fiber_stats(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
     d = cfg.d if cfg.d is not None else max(w.arity, 1)
@@ -284,7 +259,7 @@ def _cmd_fiber_stats(cfg: RunConfig):
     return {"fibers": results}, True
 
 
-def _cmd_hom_search(cfg: RunConfig):
+def _cmd_hom_search(cfg: argparse.Namespace):
     G = _build_group(cfg)
     d = cfg.d if cfg.d is not None else 1
     endos, tuples = homset.homs_power(G, d, cfg.budget_hom)
@@ -308,7 +283,7 @@ def _cmd_hom_search(cfg: RunConfig):
     return {"homs": results}, True
 
 
-def _cmd_commuting_probability(cfg: RunConfig):
+def _cmd_commuting_probability(cfg: argparse.Namespace):
     G = _build_group(cfg)
     results = {
         "group": G.name,
@@ -369,10 +344,6 @@ def _make_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{**vars(ns), "exact": ns.samples is None})
-
-
 def _render_text(report: dict) -> str:
     lines = []
 
@@ -391,7 +362,7 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, cfg: argparse.Namespace) -> None:
     if cfg.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -411,10 +382,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = _config_from_args(ns)
-        cfg.validate()
+        ns.exact = ns.samples is None
+        _validate(ns)
         t0 = time.perf_counter()
-        results, passed = _COMMANDS[cfg.subcommand](cfg)
+        results, passed = _COMMANDS[ns.subcommand](ns)
     except (WordParseError, GroupSpecError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -427,12 +398,12 @@ def run(argv: list[str]) -> int:
         print(f"budget exceeded: out of memory{detail}", file=sys.stderr)
         return EXIT_BUDGET
     report = {
-        "config": asdict(cfg),
+        "config": vars(ns),
         "results": results,
         "pass": passed,
         "timings": {"total_seconds": round(time.perf_counter() - t0, 6)},
     }
-    _emit(report, cfg)
+    _emit(report, ns)
     return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 

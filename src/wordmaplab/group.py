@@ -1,9 +1,9 @@
 """Finite groups as validated Cayley tables.
 
-Element ids are 0..n-1 with 0 always the identity.  Groups built from
-permutation generators get their ids from breadth-first closure order, so a
-given generator list always yields the same table.  Construction goes through
-``build`` with a small spec grammar:
+Elements are the ids 0..n-1, with no names, and 0 is always the identity.
+Groups built from permutation generators get their ids from breadth-first
+closure order, so a given generator list always yields the same table.
+Construction goes through ``build`` with a small spec grammar:
 
     spec := atom ('x' atom)*
     atom := C<n> | D<n> (order 2n) | S<n> (n<=8) | A<n> (n<=8) | Q8
@@ -37,16 +37,14 @@ class GroupSpecError(ValueError):
 
 @dataclass(eq=False)
 class GroupTable:
-    """A finite group: order, multiplication table, inverses, labels.
+    """A finite group of order n: multiplication table and inverses.
 
     ``mul`` (n x n) and ``inv`` (n) are read-only int64 arrays.  Whatever is
     passed in is converted without a copy where possible and frozen in place.
     """
 
-    n: int
     mul: np.ndarray
     inv: np.ndarray
-    labels: list[str]
     name: str = ""
 
     def __post_init__(self):
@@ -54,6 +52,10 @@ class GroupTable:
             table = np.asarray(getattr(self, attr), dtype=np.int64)
             table.flags.writeable = False
             setattr(self, attr, table)
+
+    @property
+    def n(self) -> int:
+        return len(self.mul)
 
 
 def validate_table(G: GroupTable) -> None:
@@ -79,9 +81,9 @@ def validate_table(G: GroupTable) -> None:
         raise ValueError("group order must be >= 1")
     M, inv = G.mul, G.inv
     if M.shape != (n, n):
-        raise ValueError("mul table must be n x n")
-    if inv.shape != (n,) or len(G.labels) != n:
-        raise ValueError("inv and labels must have length n")
+        raise ValueError("mul table must be square")
+    if inv.shape != (n,):
+        raise ValueError("inv must have length n")
     if M.min() < 0 or M.max() >= n:
         raise ValueError("mul entries out of range")
     for axis, lines in ((1, "rows"), (0, "columns")):
@@ -123,11 +125,10 @@ def greedy_generators(G: GroupTable) -> list[int]:
     return gens
 
 
-def _finish(mul, labels, name) -> GroupTable:
+def _finish(mul, name) -> GroupTable:
     """Validated table with inverses read off the identity's positions."""
     mul = np.asarray(mul, dtype=np.int64)
-    G = GroupTable(n=len(mul), mul=mul, inv=np.argmax(mul == 0, axis=1),
-                   labels=labels, name=name)
+    G = GroupTable(mul=mul, inv=np.argmax(mul == 0, axis=1), name=name)
     validate_table(G)
     return G
 
@@ -137,8 +138,7 @@ def cyclic(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
         raise GroupSpecError("cyclic group needs n >= 1")
     check_budget(n, budget, f"building C{n}")
     ids = np.arange(n, dtype=np.int64)
-    labels = ["e"] + [f"g{'' if k == 1 else '^' + str(k)}" for k in range(1, n)]
-    return _finish((ids[:, None] + ids) % n, labels, f"C{n}")
+    return _finish((ids[:, None] + ids) % n, f"C{n}")
 
 
 def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
@@ -151,54 +151,23 @@ def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     sub = (ids - ids[:, None]) % n     # r^i (s r^j) = s r^(j-i)
     mul = np.block([[add, n + sub],    # (s r^i)(s r^j) = r^(j-i)
                     [n + add, sub]])
-    labels = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
-    labels[0] = "e"
-    return _finish(mul, labels, f"D{n}")
+    return _finish(mul, f"D{n}")
 
 
 def quaternion(budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
-    """The quaternion group Q8 on {1,-1,i,-i,j,-j,k,-k}."""
+    """The quaternion group Q8: id 2u + s is (-1)^s times unit u of 1, i, j, k.
+
+    Units multiply as u XOR v up to sign (i j = k, j k = i, k i = j).
+    """
     check_budget(8, budget, "building Q8")
-    units = ["1", "i", "j", "k"]
-    # unit products: table[u][v] = (sign, unit index)
-    utab = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-        ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "k"): (1, "i"),
-        ("k", "i"): (1, "j"), ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"),
-        ("i", "k"): (-1, "j"),
-    }
-    elems = [(s, u) for u in units for s in (1, -1)]  # identity (+1,"1") first
-    index = {e: i for i, e in enumerate(elems)}
-    mul = [[0] * 8 for _ in range(8)]
-    for a, (sa, ua) in enumerate(elems):
-        for b, (sb, ub) in enumerate(elems):
-            sp, up = utab[(ua, ub)]
-            mul[a][b] = index[(sa * sb * sp, up)]
-    labels = [("" if s == 1 else "-") + u for (s, u) in elems]
-    return _finish(mul, labels, "Q8")
+    # neg[u, v] = 1 where the unit product u v is negative
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    u, s = np.arange(8) >> 1, np.arange(8) & 1
+    mul = 2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ neg[u[:, None], u])
+    return _finish(mul, "Q8")
 
 
 # -- permutation machinery (p[i] = image of point i; p q applies q first) ----
-
-def _perm_label(p: tuple) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) or "e"
-
 
 def closure(
     generators: list[tuple],
@@ -209,7 +178,7 @@ def closure(
 
     Element 0 is the identity; ids follow BFS discovery order (each element in
     turn is right-multiplied by the generators in their given order), so the
-    labelling is a pure function of the generator list.  The search runs a
+    ids are a pure function of the generator list.  The search runs a
     level at a time: the products of one level, in row-major (element,
     generator) order, come in the order in which a queue would meet them, so
     keeping each new product at its first occurrence gives the same ids.
@@ -248,8 +217,7 @@ def closure(
     mul[:, 0] = np.arange(n)
     for b in range(1, n):
         mul[:, b] = right[mul[:, parent[b]], gen[b]]
-    labels = [_perm_label(p) for p in elems.tolist()]
-    return _finish(mul, labels, name or "perm-closure")
+    return _finish(mul, name or "perm-closure")
 
 
 def symmetric(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
@@ -283,10 +251,7 @@ def direct_product(A: GroupTable, B: GroupTable,
     n = A.n * B.n
     check_budget(n, budget, f"building {A.name}x{B.name}")
     mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :])
-    labels = [
-        f"({la},{lb})" for la in A.labels for lb in B.labels
-    ]
-    return _finish(mul.reshape(n, n), labels, f"{A.name}x{B.name}")
+    return _finish(mul.reshape(n, n), f"{A.name}x{B.name}")
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -397,11 +362,6 @@ def commuting_probability(G: GroupTable) -> Fraction:
 
 
 def conjugacy_class_count(G: GroupTable) -> int:
-    """One gather per class: the class of g is {a g a^-1 : a in G}."""
-    seen = np.zeros(G.n, dtype=bool)
-    count = 0
-    for g in range(G.n):
-        if not seen[g]:
-            count += 1
-            seen[G.mul[G.mul[:, g], G.inv]] = True
-    return count
+    """k(G) = |G| cp(G) by Burnside's lemma: the classes are the orbits of
+    conjugation, and g fixes |C_G(g)| elements."""
+    return int(commuting_probability(G) * G.n)

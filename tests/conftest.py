@@ -65,6 +65,18 @@ def element_power(G, g: int, e: int) -> int:
     return acc
 
 
+def conjugacy_classes(G) -> int:
+    """Class count by orbits, one gather per class: the class of g is
+    {a g a^-1 : a in G}."""
+    seen = np.zeros(G.n, dtype=bool)
+    count = 0
+    for g in range(G.n):
+        if not seen[g]:
+            count += 1
+            seen[G.mul[G.mul[:, g], G.inv]] = True
+    return count
+
+
 def evaluate_word(w: Word, G, assignment) -> int:
     """Scalar evaluation of w at one assignment (ids, 1-based variables)."""
     if w.arity > len(assignment):

@@ -117,8 +117,7 @@ def relabelled(G, perm):
     mul[np.ix_(p, p)] = p[G.mul]
     inv = np.empty_like(G.inv)
     inv[p] = p[G.inv]
-    labels = [G.labels[g] for g in np.argsort(p)]
-    return GroupTable(n=G.n, mul=mul, inv=inv, labels=labels, name=G.name)
+    return GroupTable(mul=mul, inv=inv, name=G.name)
 
 
 @settings(max_examples=30, deadline=None)

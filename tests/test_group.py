@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from wordmaplab.group import (
     validate_table,
 )
 
-from conftest import element_power
+from conftest import EXTENDED_SPECS, conjugacy_classes, element_power
 
 ORDERS = {
     "C1": 1, "C2": 2, "C6": 6, "C8": 8, "C2xC2": 4, "C2xC4": 8,
@@ -39,7 +40,6 @@ def test_orders(spec, n):
     G = build(spec)
     assert G.n == n
     assert G.name == spec
-    assert len(set(G.labels)) == n
 
 
 def test_identity_is_zero(groups):
@@ -56,13 +56,13 @@ def test_abelianness(groups):
 
 def test_quaternion_relations():
     G = quaternion()
-    at = {lbl: i for i, lbl in enumerate(G.labels)}
-    i, j, k = at["i"], at["j"], at["k"]
-    assert G.labels[G.mul[i][j]] == "k"
-    assert G.labels[G.mul[j][i]] == "-k"
-    assert G.labels[G.mul[i][i]] == "-1"
+    # id 2u + s is (-1)^s times unit u of 1, i, j, k
+    minus_one, i, j, k, minus_k = 1, 2, 4, 6, 7
+    assert G.mul[i][j] == k
+    assert G.mul[j][i] == minus_k
+    assert G.mul[i][i] == minus_one
     orders = element_orders(G)
-    assert orders[at["-1"]] == 2
+    assert orders[minus_one] == 2
     assert orders[i] == orders[j] == orders[k] == 4
 
 
@@ -137,20 +137,24 @@ def test_validation_catches_corruption():
     G = cyclic(4)
     mul = G.mul.copy()
     mul[1, 2] = 1  # duplicates inside a row
-    bad = GroupTable(n=4, mul=mul, inv=G.inv, labels=G.labels)
+    bad = GroupTable(mul=mul, inv=G.inv)
     with pytest.raises(ValueError, match="Latin"):
         validate_table(bad)
 
     inv = G.inv.copy()
     inv[1] = 1
-    bad = GroupTable(n=4, mul=G.mul, inv=inv, labels=G.labels)
+    bad = GroupTable(mul=G.mul, inv=inv)
     with pytest.raises(ValueError, match="inv"):
         validate_table(bad)
+
+    with pytest.raises(ValueError, match="square"):
+        validate_table(GroupTable(mul=G.mul[:, :3], inv=G.inv))
+    with pytest.raises(ValueError, match="inv must have length"):
+        validate_table(GroupTable(mul=G.mul, inv=G.inv[:3]))
 
     # A Latin square with an identity that is not associative: swap two
     # non-identity rows of C4's table and repair columns by relabeling.
     q = GroupTable(
-        n=5,
         mul=[
             [0, 1, 2, 3, 4],
             [1, 0, 3, 4, 2],
@@ -159,7 +163,6 @@ def test_validation_catches_corruption():
             [4, 3, 1, 2, 0],
         ],
         inv=[0, 1, 2, 3, 4],
-        labels=list("abcde"),
     )
     with pytest.raises(ValueError, match="associative"):
         validate_table(q)
@@ -211,10 +214,7 @@ def test_commuting_probability_oracle(groups):
             G.mul[a][b] == G.mul[b][a] for a in range(G.n) for b in range(G.n)
         )
         assert commuting_probability(G) == Fraction(pairs, G.n**2)
-        # class-counting identity for finite groups
-        assert commuting_probability(G) == Fraction(
-            conjugacy_class_count(G), G.n
-        )
+        assert conjugacy_class_count(G) == conjugacy_classes(G)
 
 
 def test_alternating_small():
@@ -264,22 +264,6 @@ def _loop_product(A, B):
             for a1 in range(A.n) for b1 in range(B.n)]
 
 
-def _cycles(p):
-    """Cycle notation of a permutation tuple, 'e' for the identity."""
-    seen, parts = set(), []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            continue
-        cyc, j = [i], p[i]
-        seen.add(i)
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = p[j]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) or "e"
-
-
 CLOSURE_ORACLE = {
     "S4": ["(1 2)", "(1 2 3 4)"],
     "A5": ["(1 2 3)", "(2 3 4)", "(3 4 5)"],
@@ -297,7 +281,6 @@ def test_closure_matches_queue_oracle(spec):
     assert G.n == len(elems)
     assert G.mul.tolist() == mul
     assert G.inv.tolist() == _loop_inverses(mul)
-    assert G.labels == [_cycles(p) for p in elems]
 
 
 def test_direct_product_matches_loop_oracle():
@@ -306,7 +289,6 @@ def test_direct_product_matches_loop_oracle():
     mul = _loop_product(A, B)
     assert G.mul.tolist() == mul
     assert G.inv.tolist() == _loop_inverses(mul)
-    assert G.labels == [f"({a},{b})" for a in A.labels for b in B.labels]
 
 
 def test_light_test_rejects_large_loop(monkeypatch):
@@ -324,8 +306,7 @@ def test_light_test_rejects_large_loop(monkeypatch):
     C = cyclic(16)
     mul = loop[:, None, :, None] * 16 + C.mul[None, :, None, :]
     mul = mul.reshape(80, 80)
-    q = GroupTable(n=80, mul=mul, inv=np.argmax(mul == 0, axis=1),
-                   labels=[str(i) for i in range(80)])
+    q = GroupTable(mul=mul, inv=np.argmax(mul == 0, axis=1))
     for cells in (80, 7 * 80, group.ASSOC_BLOCK_CELLS):
         monkeypatch.setattr(group, "ASSOC_BLOCK_CELLS", cells)
         with pytest.raises(ValueError, match="associative"):
@@ -339,3 +320,50 @@ def test_tables_are_read_only():
     assert not G.inv.flags.writeable
     with pytest.raises(ValueError):
         G.mul[0, 0] = 1
+
+
+# SHA-256 of mul.tobytes() + inv.tobytes(), recorded before element names
+# were dropped: a change to any constructor must not move an id.
+TABLE_DIGESTS = {
+    "C1": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    "C2": "02a646589b206f5660fbfbbc090b83de1c9ec9eea17d5fa7b3cc696f8ec84e5e",
+    "C3": "c8ae02cbf8d34465d73d3224212c3c756378249eae742090cacc9f5842595a45",
+    "C4": "ca04e20eb87b896e8ea803e02f14632afffd1b1f7b43e96bd01fcc969c4c3808",
+    "C5": "46ac4f5620793c341022f3d44e3dcb6d8720262e2a52401b661f8bc5fc7e0b19",
+    "C6": "4e465fdf074638078c535400af9c23d836192992bb2b8869aa81cf3860a667c9",
+    "C7": "1accb1350a54c5a5826a488fe73c5d1f5c519f4abebf757323fb2ef6d07845f1",
+    "C8": "86860feb8bbd50b18a93a5dc363f01e0f4cc45b030f4ad60d9e06e84ae21224d",
+    "C2xC2":
+        "aeb0338f3b1f9998371ec0149412dc45b48a912f02d7bbddb4934e7b5318a14d",
+    "C2xC4":
+        "7e13218e11e30197afde729f593286d76ae884eee9e08c0976a7a80eb9290bcf",
+    "S3": "c49f7fc2c8d2ae7e1a498730ffa58264ce466aad717aa72c83ac60e0af04ab6d",
+    "D4": "be23f633426167a06bab215526699700dc8e4c21b5667f6362ae2e032a5ff1ce",
+    "Q8": "e7b11dddadc54528928a72a75304d2daee0eeefbf93507da16c93ff627966865",
+    "A4": "6740efa6bdbcabfaccc3fd0ae63349ecbcd7e2cd48526e1f25e22fad43072c01",
+    "D8": "1b72860ca09083d29abf51ce967c305d46842e5ca717190ded2ba90ea90868e8",
+    "C16": "d4f74888fbaa640abfef31eda3762e6c07074eb38ab2273da4e39df61440d08f",
+    "C4xC4":
+        "7bbefc7026502697fd63bcd2f2d314f5b80c586ac4a69d2c855c5a8fe967a4e0",
+    "C2xC2xC2xC2":
+        "38417401b4d7e9a8181f6a0e203116c0da165a5d9894640aa21dd6004384db3e",
+    "S6": "c58ad2ce3ad1fd61433107ee2f8322fb7c1a2eb7b0e010365746fa3c3d60a5eb",
+    "A5": "3f43ca608444909e5a41fae832b8a2b73481d0e066d3c858aac18ce4a44019f3",
+    "C6xS3":
+        "2392f546416a54d1a0080b1d639b09eb45a8131e12cfde6688d6679f5d6cfbdf",
+    "D20": "854a1c2116d2aea302ceb07b7ca21203de429adfbca42884557508fa5a4394b0",
+    "S1": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    "A2": "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    "Q8xD4":
+        "d4fd272bb5c343d1f383cf8358fd69d44ed2f514e40af25d4e9757ad10430fd2",
+    "perm:(1 2 3)(4 5),(1 4)":
+        "b456e64ffa3b6b927d039a9c2f5ad6bf9d4a85c757cb4d3caf450c14fce9af18",
+}
+
+
+def test_table_digests_pinned():
+    assert set(EXTENDED_SPECS) <= set(TABLE_DIGESTS)
+    for spec, digest in TABLE_DIGESTS.items():
+        G = build(spec)
+        got = hashlib.sha256(G.mul.tobytes() + G.inv.tobytes()).hexdigest()
+        assert got == digest, spec

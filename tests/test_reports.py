@@ -1,0 +1,50 @@
+"""Report-bytes guard: cheap CLI cases against recorded digests.
+
+Each case runs in-process through ``cli.run``; the SHA-256 of the canonical
+JSON of its ``{results, pass}`` must match the digest recorded here.  A
+change that moves a report byte outside ``timings`` fails this test; a
+deliberate report change re-records the digests in its own diff.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import wordmaplab.cli as cli
+
+REPORT_DIGESTS = [
+    (["verify-theorem", "--group", "S3", "--word", "x1^2"],
+     "3d9c674e4347f87c53fb8722e878adc0e9b4e7fc002185d070ae9a707d6384b8"),
+    (["verify-theorem", "--group", "Q8", "--word", "x1*x2", "--d", "2"],
+     "e04ebb527925b31a54b19a0ed88a380afaa9ea025ee7a33770092668b7be4c58"),
+    (["verify-theorem", "--group", "Q8", "--word", "x1*x2", "--d", "2",
+      "--samples", "10000", "--seed", "7"],
+     "6dfca65889f3b8c4cbc7b30c405730037ff6d9e799c8036aad1625885e85e60e"),
+    (["verify-theorem", "--group", "S1", "--word", "x1^2"],
+     "949299586cf1857cdc7abadb34dd602d70d69b243bb46632289ee8343df660ad"),
+    (["hom-search", "--group", "perm:(1 2 3)(4 5),(1 4)", "--word", "x1^2"],
+     "37ef58f4256dd4c8ccf99b37fcd9a3d9bca6bbe32328d4995d6dad488bf9f5b4"),
+    (["commuting-probability", "--group", "Q8xD4"],
+     "cec6f1e517c4ccbfaf1638a7e2abce57e2c5139da219bffbb3c787440e5792ea"),
+    (["fiber-stats", "--group", "S3", "--word", "x1^2"],
+     "b8b7f8e3aebd4542a9463a6df6d8134967342953b9e052dac9cfe9f851f07ba2"),
+    (["verify-mann", "--group", "D4", "-e", "2"],
+     "153b10d66e960727426b6f602241ac498f92316c85e5c964020963963a519597"),
+    (["verify-commuting", "--group", "A4"],
+     "fc439fb5bf0a4829aab7025c7e387d0e1e9de35f4df636381dbaf866d049bf33"),
+    (["verify-lemma", "--fuzz", "20", "--seed", "7"],
+     "6ca681dacb7c1675a1541c86ce2718e54a906323fc89ade9a936632a8191e7e9"),
+    (["derive-word", "--word", "x1*x2"],
+     "99ad2fb93f184baf88e269dc67d8570217474b637cac38e7bf8f3c165b3ca1d4"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in REPORT_DIGESTS])
+def test_report_digest(capsys, argv, digest):
+    assert cli.run(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    body = json.dumps({"results": rep["results"], "pass": rep["pass"]},
+                      sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
