@@ -23,9 +23,8 @@ from .freeword import (Word, WordParseError, derived_word, invert,
 from .group import (GroupSpecError, GroupTable, build, centralizer_size,
                     closure, commuting_probability, conjugacy_class_count,
                     is_abelian)
-from .homset import (GeneratingSequence, agreement_set, automorphisms,
-                     best_agreement, endomorphisms, generating_sequence,
-                     homs_power, power_agreement_profile)
+from .homset import (agreement_set, automorphisms, best_agreement,
+                     endomorphisms, homs_power, power_agreement_profile)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,6 @@ __all__ = [
     "derived_word", "is_nontrivial_derived",
     "GroupTable", "GroupSpecError", "build", "closure", "is_abelian",
     "centralizer_size", "commuting_probability", "conjugacy_class_count",
-    "GeneratingSequence", "generating_sequence",
     "endomorphisms", "automorphisms", "homs_power", "agreement_set",
     "best_agreement", "power_agreement_profile",
     "CensusResult", "FiberStats", "TheoremReport", "CommutingReport",

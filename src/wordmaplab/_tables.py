@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_budget
+from .errors import DEFAULT_TABLE_BUDGET, check_budget
 from .freeword import Word
 from .group import GroupTable, power_table
-
-DEFAULT_TABLE_BUDGET = 100_000_000  # entries, not bytes
 
 
 def coordinate_columns(n: int, d: int, idx=None) -> list[np.ndarray]:

@@ -23,15 +23,13 @@ import numpy as np
 
 from . import _tables
 from .bounds import BoundTriple, commuting_bound, f as bound_triple
-from .errors import BudgetExceededError, check_budget
+from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_ITER_BUDGET,
+                     DEFAULT_TABLE_BUDGET, BudgetExceededError, check_budget)
 from .freeword import Word, derived_word
 from .group import GroupTable, commuting_probability, power_table
-from .homset import (DEFAULT_CANDIDATE_BUDGET, agreement_set,
-                     best_agreement)
+from .homset import agreement_set, best_agreement
 from .rng import derive_seed, randbelow_block
 
-DEFAULT_ITER_BUDGET = 1_000_000_000
-DEFAULT_TABLE_BUDGET = _tables.DEFAULT_TABLE_BUDGET
 MIN_SAMPLES = 1_000
 
 # Fixed estimator chunk size.  The chunk layout, and hence every sampled

@@ -25,12 +25,11 @@ import time
 
 import numpy as np
 
-from . import census, familycheck, group, homset
+from . import census, errors, familycheck, group, homset
 from .bounds import rat_str
-from .errors import BudgetExceededError
 from .freeword import (WordParseError, derived_word, is_nontrivial_derived,
                        parse_word, reduce)
-from .group import GroupSpecError, commuting_probability, conjugacy_class_count
+from .group import GroupSpecError, commuting_probability
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -285,10 +284,12 @@ def _cmd_hom_search(cfg: argparse.Namespace):
 
 def _cmd_commuting_probability(cfg: argparse.Namespace):
     G = _build_group(cfg)
+    cp = commuting_probability(G)
     results = {
         "group": G.name,
-        "commuting_probability": rat_str(commuting_probability(G)),
-        "conjugacy_classes": conjugacy_class_count(G),
+        "commuting_probability": rat_str(cp),
+        # k(G) = |G| cp(G), as in ``group.conjugacy_class_count``.
+        "conjugacy_classes": int(cp * G.n),
         "order": G.n,
     }
     return {"commuting_probability": results}, True
@@ -326,13 +327,13 @@ def _make_parser() -> argparse.ArgumentParser:
                           help="estimate with this many samples")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget-iter", type=int,
-                       default=census.DEFAULT_ITER_BUDGET)
+                       default=errors.DEFAULT_ITER_BUDGET)
         p.add_argument("--budget-hom", type=int,
-                       default=homset.DEFAULT_CANDIDATE_BUDGET)
+                       default=errors.DEFAULT_CANDIDATE_BUDGET)
         p.add_argument("--budget-order", type=int,
-                       default=group.DEFAULT_ORDER_BUDGET)
+                       default=errors.DEFAULT_ORDER_BUDGET)
         p.add_argument("--budget-table", type=int,
-                       default=census.DEFAULT_TABLE_BUDGET)
+                       default=errors.DEFAULT_TABLE_BUDGET)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--fuzz", type=int,
@@ -390,7 +391,7 @@ def run(argv: list[str]) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
+    except errors.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError as exc:  # numpy's _ArrayMemoryError included

@@ -18,9 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._tables import DEFAULT_TABLE_BUDGET
 from .bounds import check_rho, f1, f2, parse_rat, rat_str
-from .errors import check_budget
+from .errors import DEFAULT_TABLE_BUDGET, check_budget
 from .rng import SplitMix64, derive_seed, randbelow_rows
 
 

@@ -21,9 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import check_budget
-
-DEFAULT_ORDER_BUDGET = 2000
+from .errors import DEFAULT_ORDER_BUDGET, check_budget
 
 # Table cells per row block of Light's associativity test in
 # ``validate_table``, so that validation needs a fixed amount of working
@@ -97,7 +95,7 @@ def validate_table(G: GroupTable) -> None:
     if not (M[ids, inv] == 0).all() or not (M[inv, ids] == 0).all():
         raise ValueError("inv table is wrong")
     rows = max(1, ASSOC_BLOCK_CELLS // n)
-    for g in greedy_generators(G):
+    for g in greedy_generators(G)[0]:
         for lo in range(0, n, rows):
             # row x, column y: (x g) y against x (g y)
             block = M[lo:lo + rows]
@@ -109,20 +107,35 @@ def validate_table(G: GroupTable) -> None:
         raise ValueError(f"order of element {bad[0]} does not divide {n}")
 
 
-def greedy_generators(G: GroupTable) -> list[int]:
-    """Adjoin the smallest element not yet reached from 0 by right
-    multiplication by the generators so far, until every element is."""
+def greedy_generators(G: GroupTable) -> tuple[list[int], list[tuple]]:
+    """Greedy generators, with the breadth-first levels of the walk that
+    finds them.
+
+    Adjoin the smallest element not yet reached from 0 by right
+    multiplication by the generators so far, until every element is.  Each
+    level of the walk is a triple of arrays ``(elems, parents, gen_idx)``
+    with elems[i] = parents[i] * gens[gen_idx[i]]; every parent is 0 or lies
+    in an earlier level, and the levels hold every element but 0 once.
+    """
     reached = np.zeros(G.n, dtype=bool)
     reached[0] = True
     gens: list[int] = []
+    levels = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            nxt = np.unique(G.mul[frontier[:, None], gens])
-            frontier = nxt[~reached[nxt]]
+            # Each product's first occurrence in row-major (frontier
+            # element, generator) order names its parent and generator.
+            nxt, first = np.unique(G.mul[frontier[:, None], gens],
+                                   return_index=True)
+            fresh = ~reached[nxt]
+            row, gen_idx = np.divmod(first[fresh], len(gens))
+            parents, frontier = frontier[row], nxt[fresh]
             reached[frontier] = True
-    return gens
+            if frontier.size:
+                levels.append((frontier, parents, gen_idx))
+    return gens, levels
 
 
 def _finish(mul, name) -> GroupTable:

@@ -1,7 +1,10 @@
 """Endomorphisms of G and homomorphisms G^d -> G, with agreement counts.
 
 An endomorphism is its value table, a row of n element ids indexed by
-argument id; ``endomorphisms`` returns them as one (k, n) int64 array.
+argument id; ``endomorphisms`` returns them as one (k, n) int64 array.  The
+search assigns images to the greedy generators, and each candidate is
+extended a BFS level at a time along the spanning tree of the walk in
+``group.greedy_generators``.
 Homomorphisms out of a direct power are stored componentwise: a d-tuple of
 endomorphisms whose images commute elementwise, held as d row indices into
 that array.  Every homomorphism G^d -> G arises from exactly one such tuple
@@ -15,64 +18,19 @@ hom set, breaking ties by enumeration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _tables
-from .errors import check_budget
+from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
+                     check_budget)
 from .freeword import Word, reduce
 from .group import GroupTable, greedy_generators
-
-DEFAULT_CANDIDATE_BUDGET = 10_000_000
 
 # Array cells per block of endomorphism candidates, pair-table rows or
 # scored homs, so that working memory stays flat as the search grows.
 BLOCK_CELLS = 1 << 17
-
-
-@dataclass(frozen=True)
-class GeneratingSequence:
-    """Greedy generators plus a BFS spanning structure for extension.
-
-    ``order`` lists all element ids with every element appearing after its
-    parent; element e != 0 satisfies e = parent_elem[e] * gens[parent_gen[e]].
-    """
-
-    generators: tuple[int, ...]
-    order: tuple[int, ...]
-    parent_elem: tuple[int, ...]
-    parent_gen: tuple[int, ...]
-
-
-def generating_sequence(G: GroupTable) -> GeneratingSequence:
-    """Greedy generating sequence (``group.greedy_generators``: repeatedly
-    adjoin the smallest element id outside the subgroup generated so far),
-    closed breadth-first."""
-    n = G.n
-    gens = greedy_generators(G)
-    right = G.mul[:, gens].tolist()  # right[e][gi] = e * gens[gi]
-    order = [0]
-    parent_elem = [0] * n
-    parent_gen = [0] * n
-    known = {0}
-    pos = 0
-    while pos < len(order):
-        e = order[pos]
-        pos += 1
-        for gi, h in enumerate(right[e]):
-            if h not in known:
-                known.add(h)
-                parent_elem[h] = e
-                parent_gen[h] = gi
-                order.append(h)
-    return GeneratingSequence(
-        generators=tuple(gens),
-        order=tuple(order),
-        parent_elem=tuple(parent_elem),
-        parent_gen=tuple(parent_gen),
-    )
 
 
 def _full_hom_check(M: np.ndarray, values: np.ndarray) -> bool:
@@ -88,24 +46,22 @@ def endomorphisms(
 
     Candidates assign images to the greedy generators g_1, ..., g_k in
     itertools.product order over element ids (g_1's image most significant).
-    Each block of candidates is decoded, extended along the BFS spanning
-    structure, and kept only if phi(e g_j) = phi(e) phi(g_j) for every
-    element e and every generator g_j.  That check is exact: phi(1) = 1 by
-    construction, and every b in a finite group is a positive word
-    g_j1 ... g_jm in the generators (an inverse is a positive power), so
+    Each block of candidates is decoded, extended a BFS level at a time
+    along the walk of ``greedy_generators`` (every element of a level is its
+    parent times a generator), and kept only if phi(e g_j) = phi(e) phi(g_j)
+    for every element e and every generator g_j.  That check is exact:
+    phi(1) = 1 by construction, and every b in a finite group is a positive
+    word g_j1 ... g_jm in the generators (an inverse is a positive power), so
     induction on m gives phi(ab) = phi(a) phi(g_j1) ... phi(g_jm)
     = phi(a) phi(b) for every a.
     """
     n = G.n
-    gs = generating_sequence(G)
-    k = len(gs.generators)
+    gens, levels = greedy_generators(G)
+    k = len(gens)
     total = n ** k
     check_budget(total, budget, "endomorphism search")
     M = G.mul
-    right = M[:, list(gs.generators)]  # right[e, j] = e * g_j
-    body = [e for e in gs.order if e != 0]
-    pe = gs.parent_elem
-    pg = gs.parent_gen
+    right = M[:, gens]  # right[e, j] = e * g_j
     step = max(1, BLOCK_CELLS // n)
     out = []
     for lo in range(0, total, step):
@@ -115,8 +71,8 @@ def endomorphisms(
             idx, images[j] = np.divmod(idx, n)
         # vals[e, c] = phi_c(e) for candidate c of the block.
         vals = np.zeros((n, images.shape[1]), dtype=np.int64)
-        for e in body:
-            vals[e] = M[vals[pe[e]], images[pg[e]]]
+        for elems, parents, gen_idx in levels:
+            vals[elems] = M[vals[parents], images[gen_idx]]
         for j in range(k):
             ok = (vals[right[:, j]] == M[vals, images[j]]).all(axis=0)
             vals, images = vals[:, ok], images[:, ok]
@@ -201,7 +157,7 @@ def _hom_values(M: np.ndarray, comps: np.ndarray) -> np.ndarray:
 
 def agreement_set(
     w: Word, G: GroupTable, phi: np.ndarray,
-    budget: int = _tables.DEFAULT_TABLE_BUDGET,
+    budget: int = DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean flags over G^d marking tuples where w agrees with the hom
@@ -224,7 +180,7 @@ def agreement_set(
 def best_agreement(
     w: Word, G: GroupTable, d: int,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
-    table_budget: int = _tables.DEFAULT_TABLE_BUDGET,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
     homs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Fraction, np.ndarray]:

@@ -110,14 +110,23 @@ def random_reduced_word(rng: SplitMix64, length: int, num_vars: int) -> Word:
     return w
 
 
-def expressions(gs) -> list[tuple[int, ...]]:
-    """Per-element words in the generators of the ``GeneratingSequence``
-    ``gs`` (tuples of generator indices)."""
-    exprs: dict[int, tuple[int, ...]] = {0: ()}
-    for e in gs.order:
-        if e != 0:
-            exprs[e] = exprs[gs.parent_elem[e]] + (gs.parent_gen[e],)
-    return [exprs[e] for e in range(len(gs.order))]
+def expressions(G) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Greedy generators of G and a word in them for every element, by a
+    plain queue walk: adjoin the smallest element not yet reached, then
+    right-multiply every reached element by each generator in turn.  The
+    words are tuples of generator indices."""
+    mul = G.mul.tolist()
+    words: dict[int, tuple[int, ...]] = {0: ()}
+    gens: list[int] = []
+    while len(words) < G.n:
+        gens.append(min(set(range(G.n)) - set(words)))
+        queue = list(words)
+        for e in queue:  # the queue grows as the walk meets new elements
+            for j, g in enumerate(gens):
+                if mul[e][g] not in words:
+                    words[mul[e][g]] = words[e] + (j,)
+                    queue.append(mul[e][g])
+    return gens, [words[e] for e in range(G.n)]
 
 
 def naive_census(w, G, d):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -8,13 +9,13 @@ import pytest
 from wordmaplab import cli
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
-from wordmaplab.group import build, closure, direct_product, parse_cycles
+from wordmaplab.group import (build, closure, direct_product,
+                              greedy_generators, parse_cycles)
 from wordmaplab.homset import (
     agreement_set,
     automorphisms,
     best_agreement,
     endomorphisms,
-    generating_sequence,
     homs_power,
     power_agreement_profile,
 )
@@ -22,23 +23,43 @@ from wordmaplab.homset import (
 from conftest import brute_force_endos, expressions, hom_value_table
 
 
-def test_generating_sequence_generates(groups):
+def assert_walk(G):
+    """The levels of ``greedy_generators`` cover every element but 0 once,
+    each parent lies in an earlier level, and parent * gen is the element.
+    Returns the generators."""
+    gens, levels = greedy_generators(G)
+    seen = np.zeros(G.n, dtype=bool)
+    seen[0] = True
+    for elems, parents, gen_idx in levels:
+        assert seen[parents].all()
+        assert not seen[elems].any() and np.unique(elems).size == elems.size
+        assert (G.mul[parents, np.array(gens)[gen_idx]] == elems).all()
+        seen[elems] = True
+    assert seen.all()
+    return gens
+
+
+def test_greedy_walk_levels(extended_groups):
+    groups = dict(extended_groups)
+    for spec in ("S6", "A5", "perm:(1 2 3)(4 5),(1 4)"):
+        groups[spec] = build(spec)
     for G in groups.values():
-        gs = generating_sequence(G)
-        assert sorted(gs.order) == list(range(G.n))
-        # every expression multiplies out to its element
-        for g, expr in enumerate(expressions(gs)):
+        # the same generators as the oracle's plain queue walk, whose words
+        # multiply out to their elements
+        gens, words = expressions(G)
+        assert assert_walk(G) == gens
+        for g, word in enumerate(words):
             acc = 0
-            for gi in expr:
-                acc = G.mul[acc][gs.generators[gi]]
+            for j in word:
+                acc = G.mul.item(acc, gens[j])
             assert acc == g
 
 
-def test_generating_sequence_sizes(groups):
-    assert generating_sequence(groups["C5"]).generators == (1,)
-    assert generating_sequence(groups["C2xC2"]).generators == (1, 2)
-    assert len(generating_sequence(groups["S3"]).generators) == 2
-    assert generating_sequence(groups["C1"]).generators == ()
+def test_greedy_walk_sizes(groups):
+    assert assert_walk(groups["C5"]) == [1]
+    assert assert_walk(groups["C2xC2"]) == [1, 2]
+    assert len(assert_walk(groups["S3"])) == 2
+    assert assert_walk(groups["C1"]) == []
 
 
 # Counts verified against the all-functions oracle below before pinning.
@@ -97,17 +118,19 @@ def test_every_endo_satisfies_pairwise_condition(groups):
 
 def loop_endomorphisms(G):
     """Endomorphism value tables in search order, by plain loops:
-    itertools.product over images of the greedy generators, extension along
-    the spanning structure, and the full pairwise condition."""
-    gs = generating_sequence(G)
+    itertools.product over images of the greedy generators, each element's
+    value the product of the images along its word from ``expressions``,
+    and the full pairwise condition."""
+    gens, words = expressions(G)
     mul = G.mul.tolist()
     out = []
-    for images in itertools.product(range(G.n), repeat=len(gs.generators)):
-        vals = [0] * G.n
-        for e in gs.order:
-            if e != 0:
-                vals[e] = mul[vals[gs.parent_elem[e]]][
-                    images[gs.parent_gen[e]]]
+    for images in itertools.product(range(G.n), repeat=len(gens)):
+        vals = []
+        for word in words:
+            acc = 0
+            for j in word:
+                acc = mul[acc][images[j]]
+            vals.append(acc)
         if all(
             vals[mul[a][b]] == mul[vals[a]][vals[b]]
             for a in range(G.n) for b in range(G.n)
@@ -128,6 +151,30 @@ def loop_homs_power(G, d):
         ):
             out.append(combo)
     return out
+
+
+# SHA-256 of endomorphisms(G).tobytes(), recorded before the search moved
+# to the level-at-a-time extension: best_agreement breaks ties by this
+# order, so it is a contract.
+ENDO_DIGESTS = {
+    "C2xC2xC2xC2":
+        "c459db33407a1b4e37a36c365dd8f70e32b01a9b0fc955d10145bb72a85c3fa6",
+    "Q8": "bb3e7ebd011c81762798808e95acfa27e82c2ed23b59ebf45d196c80fc64a0db",
+    "A4": "355249629016c2158c369205cd62991f39e3109bfd1242f0a27b0cee4fd34c16",
+    "S4": "41a5abb554f7b20f1e8ef134ea98811a8536435df563b6e7efea100e43e4d561",
+    "D16": "47ab81fbd2692b8671db259e168e42529d3a72939c09712dbbcc53892985c4aa",
+    "D20": "250b0e86276c7c66714edb876883ab057f185bbac9f1b42e89001846049d1d43",
+    "C6xS3":
+        "692f2361cd8f3b0e971e98fac4442dc23776d1b24319cbeee5581d9ef6cdaaa6",
+    "perm:(1 2 3)(4 5),(1 4)":
+        "b4a4a22a31c56cf7d1a21aa600eff400527020c2ae557ffb568f014273c6c560",
+}
+
+
+def test_endomorphism_digests_pinned():
+    for spec, digest in ENDO_DIGESTS.items():
+        got = hashlib.sha256(endomorphisms(build(spec)).tobytes()).hexdigest()
+        assert got == digest, spec
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "C2xC4"])

@@ -1,11 +1,11 @@
-"""Dead-helper guard: every public function or class in the package serves a
-caller.
+"""Dead-helper guard: every function or class in the package serves a caller.
 
 Each public module-level function or class of ``src/wordmaplab`` must be
 exported through ``wordmaplab.__all__``, be a ``[project.scripts]`` entry
 point, or be named somewhere in ``src/`` outside its own definition (so a
-recursive call does not count).  Helpers used only by tests belong in
-``tests/conftest.py``.
+recursive call does not count).  Each private (``_``-prefixed) one must be
+named in ``src/`` outside its own definition.  Helpers used only by tests
+belong in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -44,26 +44,47 @@ def _entry_points() -> set[tuple[str, str]]:
     return set(re.findall(r'"wordmaplab\.(\w+):(\w+)"', section))
 
 
-def test_no_dead_public_helpers():
-    modules = _modules()
-    allowed = _exported(modules["__init__"]) | _entry_points()
-    defs = [(mod, node) for mod, tree in modules.items()
+def _definitions(modules, private: bool):
+    """(module, node) for every module-level function or class whose name
+    is private (``_``-prefixed) or public, as asked."""
+    return [(mod, node) for mod, tree in modules.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and not node.name.startswith("_")]
-    assert {("census", "verify_theorem"), ("cli", "main")} <= \
-        {(mod, node.name) for mod, node in defs}
+            and node.name.startswith("_") == private]
+
+
+def _unnamed(modules, defs) -> list[str]:
+    """The definitions that no name or attribute reference in src/ names
+    outside the definition itself."""
     # Every name and attribute reference in src/, by node identity.
     refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
             for tree in modules.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
     dead = []
     for mod, definition in defs:
-        if (mod, definition.name) in allowed:
-            continue
         inside = {id(n) for n in ast.walk(definition)}
         if not any(name == definition.name and id(node) not in inside
                    for node, name in refs):
             dead.append(f"{mod}.{definition.name}")
+    return dead
+
+
+def test_no_dead_public_helpers():
+    modules = _modules()
+    allowed = _exported(modules["__init__"]) | _entry_points()
+    defs = _definitions(modules, private=False)
+    assert {("census", "verify_theorem"), ("cli", "main")} <= \
+        {(mod, node.name) for mod, node in defs}
+    dead = _unnamed(modules, [(mod, node) for mod, node in defs
+                              if (mod, node.name) not in allowed])
     assert not dead, f"public helpers nothing in src/ uses: {dead}"
+
+
+def test_no_dead_private_helpers():
+    modules = _modules()
+    defs = _definitions(modules, private=True)
+    assert ("homset", "_hom_values") in {(mod, node.name)
+                                         for mod, node in defs}
+    dead = _unnamed(modules, defs)
+    assert not dead, f"private helpers nothing in src/ uses: {dead}"
