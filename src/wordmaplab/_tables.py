@@ -1,17 +1,17 @@
 """Internal kernel: mixed-radix indexing of G^d and vectorized word maps.
 
 Tuples (g_1, ..., g_d) over a group of order n are flattened to the index
-g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest.  Both the
-census code and the homomorphism code build on these helpers; the exact
-census and the pair/triple step ``census.translate_counts`` share one product
-kernel, ``product_index``.
+g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest; only
+``coordinate_columns`` and ``tuple_index`` convert between the two forms.
+The exact census and the pair/triple step ``census.translate_counts`` share
+one product kernel, ``product_index``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DEFAULT_TABLE_BUDGET, check_budget
+from .errors import DEFAULT_TABLE_BUDGET, check_power
 from .freeword import Word
 from .group import GroupTable, power_table
 
@@ -24,24 +24,31 @@ def coordinate_columns(n: int, d: int, idx=None) -> list[np.ndarray]:
     return [(idx // n ** (d - 1 - i)) % n for i in range(d)]
 
 
+def tuple_index(n: int, cols) -> np.ndarray:
+    """Index of the tuples with coordinate i+1 in cols[i] ([0] at d = 0);
+    ``cols`` may yield its arrays one at a time, to hold one at once."""
+    cols = iter(cols)
+    out = np.array(next(cols, [0]), dtype=np.int64)
+    for c in cols:
+        out *= n
+        out += c
+        del c  # freed before the next column is built
+    return out
+
+
 def product_index(G: GroupTable, d: int, left, right) -> np.ndarray:
     """Index of the componentwise product a b for every a in ``left`` and
     b in ``right`` (index arrays into G^d), shape (len(left), len(right))."""
-    out = np.zeros((len(left), len(right)), dtype=np.int64)
-    for a, b in zip(coordinate_columns(G.n, d, left),
-                    coordinate_columns(G.n, d, right)):
-        out *= G.n
-        out += G.mul[a[:, None], b[None, :]]
-    return out
+    return tuple_index(G.n, (
+        G.mul[a[:, None], b[None, :]]
+        for a, b in zip(coordinate_columns(G.n, d, left),
+                        coordinate_columns(G.n, d, right))))
 
 
 def inverse_index(G: GroupTable, d: int) -> np.ndarray:
     """Index of the inverse of every tuple of G^d, in index order."""
-    out = np.zeros(G.n ** d, dtype=np.int64)
-    for c in coordinate_columns(G.n, d):
-        out *= G.n
-        out += G.inv[c]
-    return out
+    cols = coordinate_columns(G.n, d)
+    return tuple_index(G.n, (G.inv[c] for c in cols))
 
 
 def word_values(w: Word, G: GroupTable, d: int,
@@ -51,10 +58,8 @@ def word_values(w: Word, G: GroupTable, d: int,
         raise ValueError(f"word uses x{w.arity} but d = {d}")
     if d < 0:
         raise ValueError("d must be >= 0")
-    n = G.n
-    size = n ** d
-    check_budget(size, budget, "word table")
-    return evaluate_columns(w, G, coordinate_columns(n, d), size)
+    size = check_power(G.n, d, budget, "word table")
+    return evaluate_columns(w, G, coordinate_columns(G.n, d), size)
 
 
 def evaluate_columns(w: Word, G: GroupTable, cols, size: int) -> np.ndarray:
@@ -62,6 +67,7 @@ def evaluate_columns(w: Word, G: GroupTable, cols, size: int) -> np.ndarray:
     of x_{i+1}, one per assignment."""
     vals = np.zeros(size, dtype=np.int64)
     for var, exp in w.syllables:
-        vals = G.mul[vals, power_table(G, exp)[cols[var - 1]]]
+        vals *= G.n  # flat index a*n + b into mul, faster than mul[a, b]
+        vals += power_table(G, exp)[cols[var - 1]]
+        vals = G.mul.ravel()[vals]
     return vals
-

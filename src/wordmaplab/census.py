@@ -24,10 +24,11 @@ import numpy as np
 from . import _tables
 from .bounds import BoundTriple, commuting_bound, f as bound_triple
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_ITER_BUDGET,
-                     DEFAULT_TABLE_BUDGET, BudgetExceededError, check_budget)
-from .freeword import Word, derived_word
+                     DEFAULT_TABLE_BUDGET, BudgetExceededError, check_budget,
+                     check_power)
+from .freeword import Word, derived_word, parse_word
 from .group import GroupTable, commuting_probability, power_table
-from .homset import agreement_set, best_agreement
+from .homset import agreement_set, best_agreement, check_hom
 from .rng import derive_seed, randbelow_block
 
 MIN_SAMPLES = 1_000
@@ -129,9 +130,8 @@ def count_solutions_exact(
     if d is None:
         d = max(w.arity, 1)
     n = G.n
+    space = check_power(n, 3 * d, iter_budget, "exact census")
     size = n ** d
-    space = size ** 3
-    check_budget(space, iter_budget, "exact census")
     check_budget(3 * size * size, table_budget, "exact census table")
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
@@ -172,21 +172,12 @@ def estimate_solutions(
     if d is None:
         d = max(w.arity, 1)
     n = G.n
-    size = n ** d
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
+    index = _tables.tuple_index
     # Flat tables: mul[a*n + b] = ab and quot[a*n + b] = a^-1 b.
     mul = G.mul.ravel()
     quot = G.mul[G.inv].ravel()
-
-    def index(coords: np.ndarray) -> np.ndarray:
-        """Mixed-radix index of the tuples whose coordinates are the rows."""
-        out = coords[0]
-        for c in coords[1:]:
-            out = out * n
-            out += c
-        return out
-
     hits = 0
     for lo in range(0, samples, CHUNK):
         m = min(CHUNK, samples - lo)
@@ -198,16 +189,16 @@ def estimate_solutions(
         stu = quot[s * n + t]
         stu *= n
         stu += u
-        lhs = wv[index(mul[stu])]
-        rhs = quot[wv[index(s)] * n + wv[index(t)]]
+        lhs = wv[index(n, mul[stu])]
+        rhs = quot[wv[index(n, s)] * n + wv[index(n, t)]]
         rhs *= n
-        rhs += wv[index(u)]
+        rhs += wv[index(n, u)]
         hits += int(np.count_nonzero(lhs == mul[rhs]))
     mean = Fraction(hits, samples)
     hw = Z95 * _sqrt_fraction(mean * (1 - mean) / samples)
     return CensusResult(
         mode="estimate",
-        space_size=size ** 3,
+        space_size=len(wv) ** 3,
         estimate_mean=mean,
         ci_half_width=hw,
         samples=samples,
@@ -304,17 +295,18 @@ def verify_theorem(
     With ``samples=None`` the census is exact (a budget overrun is an error);
     otherwise the sampled mean is compared against the required density and
     the report's census mode says so.  ``hom``, a (d, n) component table,
-    skips the hom-set search and scores that homomorphism instead.
+    skips the hom-set search and scores that homomorphism instead; a table
+    that is not a hom G^d -> G raises ValueError.
     """
     if d is None:
         d = max(w.arity, 1)
-    n = G.n
-    size = n ** d
-    space = size ** 3
-    if hom is not None and len(hom) != d:
+    if hom is not None and len(check_hom(G, hom)) != d:
         raise ValueError(f"hom has d = {len(hom)}, expected {d}")
     # One word table serves the hom scoring, the agreement set and the census.
     wv = _tables.word_values(w, G, d, table_budget)
+    n = G.n
+    size = n ** d
+    space = size ** 3
     if hom is None:
         _, hom = best_agreement(w, G, d, hom_budget, table_budget, wv=wv)
     flags = agreement_set(w, G, hom, table_budget, wv=wv)
@@ -429,17 +421,15 @@ def verify_commuting_corollary(
     rho, _ = best_agreement(w, G, 2, hom_budget, table_budget)
     cp = commuting_probability(G)
     bound = commuting_bound(rho)
-    v = derived_word(w)
-    M, inv = G.mul, G.inv
     m = equation_samples
+    # Columns 1 to 6 hold s1, s2, t1, t2, u1, u2.
     cols = randbelow_block(seed, G.n, m * 6).reshape(m, 6).T
-    s1, s2, t1, t2, u1, _ = cols
-    lhs = M[M[s1, s2], inv[s1]]
-    rhs = t1
-    for x in (t2, u1, inv[t2], s2, inv[u1], inv[t1]):
-        rhs = M[rhs, x]
-    solves = _tables.evaluate_columns(v, G, cols, m) == 0
-    ok = bool(((lhs == rhs) == solves).all())
+    lhs, rhs, v = (
+        _tables.evaluate_columns(word, G, cols, m)
+        for word in (parse_word("x1*x2*x1^-1"),
+                     parse_word("x3*x4*x5*x4^-1*x2*x5^-1*x3^-1"),
+                     derived_word(w)))
+    ok = bool(((lhs == rhs) == (v == 0)).all())
     return CommutingReport(
         group=G.name or f"order-{G.n}",
         rho=rho,

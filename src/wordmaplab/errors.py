@@ -20,3 +20,17 @@ def check_budget(need: int, budget: int, what: str) -> None:
     """Refuse a step that needs more than its budget allows."""
     if need > budget:
         raise BudgetExceededError(f"{what} needs {need}, budget {budget}")
+
+
+def check_power(n: int, d: int, budget: int, what: str) -> int:
+    """Refuse a step that needs n^d units over budget; return n^d.
+
+    For n >= 2 and d beyond the budget's bit length, n^d >= 2^d > budget,
+    so the step is refused before the power is formed: at a large d it
+    would take seconds to form and be too long to print.
+    """
+    if n >= 2 and d > budget.bit_length():
+        raise BudgetExceededError(f"{what} needs {n}^{d}, budget {budget}")
+    need = n ** d
+    check_budget(need, budget, what)
+    return need

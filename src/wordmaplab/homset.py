@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _tables
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
-                     check_budget)
+                     check_budget, check_power)
 from .freeword import Word, reduce
 from .group import GroupTable, greedy_generators
 
@@ -33,9 +33,16 @@ from .group import GroupTable, greedy_generators
 BLOCK_CELLS = 1 << 17
 
 
-def _full_hom_check(M: np.ndarray, values: np.ndarray) -> bool:
-    """values[a*b] == values[a]*values[b] for every pair, vectorized."""
-    return np.array_equal(values[M], M[values[:, None], values[None, :]])
+def _respects_generators(G: GroupTable, gens: list[int],
+                         vals: np.ndarray) -> np.ndarray:
+    """The columns phi of the (n, c) value block ``vals`` with phi(e g) =
+    phi(e) phi(g) for all elements e and generators g of G: exactly the
+    endomorphisms, as e = 1 gives phi(1) = 1 and induction on a positive word
+    b = g_1 ... g_m gives phi(ab) = phi(a) phi(g_1) ... phi(g_m)."""
+    for g in gens:
+        ok = vals[G.mul[:, g]] == G.mul.ravel()[vals * G.n + vals[g]]
+        vals = vals[:, ok.all(axis=0)]
+    return vals
 
 
 def endomorphisms(
@@ -48,38 +55,45 @@ def endomorphisms(
     itertools.product order over element ids (g_1's image most significant).
     Each block of candidates is decoded, extended a BFS level at a time
     along the walk of ``greedy_generators`` (every element of a level is its
-    parent times a generator), and kept only if phi(e g_j) = phi(e) phi(g_j)
-    for every element e and every generator g_j.  That check is exact:
-    phi(1) = 1 by construction, and every b in a finite group is a positive
-    word g_j1 ... g_jm in the generators (an inverse is a positive power), so
-    induction on m gives phi(ab) = phi(a) phi(g_j1) ... phi(g_jm)
-    = phi(a) phi(b) for every a.
+    parent times a generator), and kept by ``_respects_generators``.
     """
     n = G.n
     gens, levels = greedy_generators(G)
     k = len(gens)
     total = n ** k
     check_budget(total, budget, "endomorphism search")
-    M = G.mul
-    right = M[:, gens]  # right[e, j] = e * g_j
     step = max(1, BLOCK_CELLS // n)
     out = []
     for lo in range(0, total, step):
         idx = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        images = np.empty((k, len(idx)), dtype=np.int64)
-        for j in reversed(range(k)):
-            idx, images[j] = np.divmod(idx, n)
+        images = np.array(_tables.coordinate_columns(n, k, idx))
         # vals[e, c] = phi_c(e) for candidate c of the block.
-        vals = np.zeros((n, images.shape[1]), dtype=np.int64)
+        vals = np.zeros((n, len(idx)), dtype=np.int64)
         for elems, parents, gen_idx in levels:
-            vals[elems] = M[vals[parents], images[gen_idx]]
-        for j in range(k):
-            ok = (vals[right[:, j]] == M[vals, images[j]]).all(axis=0)
-            vals, images = vals[:, ok], images[:, ok]
-        out.append(vals.T)
+            vals[elems] = G.mul.ravel()[vals[parents] * n + images[gen_idx]]
+        out.append(_respects_generators(G, gens, vals).T)
     table = np.concatenate(out)
     table.flags.writeable = False
     return table
+
+
+def check_hom(G: GroupTable, phi) -> np.ndarray:
+    """``phi`` as an int64 array if it is the (d, n) component table of a
+    hom G^d -> G (d >= 1), else ValueError."""
+    phi = np.asarray(phi, dtype=np.int64)
+    if (phi.ndim != 2 or len(phi) < 1 or phi.shape[1] != G.n
+            or ((phi < 0) | (phi >= G.n)).any()):
+        raise ValueError(f"hom must be a (d, {G.n}) table of ids, d >= 1")
+    gens, _ = greedy_generators(G)
+    if _respects_generators(G, gens, phi.T).shape[1] < len(phi):
+        raise ValueError("component table is not an endomorphism")
+    commutes = G.mul == G.mul.T
+    for i in range(len(phi)):
+        for j in range(i + 1, len(phi)):
+            if not commutes[np.ix_(phi[i], phi[j])].all():
+                raise ValueError(f"components {i} and {j} have "
+                                 "non-commuting images")
+    return phi
 
 
 def _bijective(endos: np.ndarray) -> np.ndarray:
@@ -111,7 +125,7 @@ def homs_power(
         raise ValueError("d must be >= 1")
     endos = endomorphisms(G, budget)
     k = len(endos)
-    check_budget(k ** d, budget, "hom enumeration")
+    check_power(k, d, budget, "hom enumeration")
     if d == 1:
         return endos, np.arange(k, dtype=np.int64)[:, None]
     # pair_ok[i, j]: the images of endos i and j commute elementwise, that
@@ -161,14 +175,9 @@ def agreement_set(
     wv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean flags over G^d marking tuples where w agrees with the hom
-    whose (d, n) component table is ``phi``.  ``wv`` is the word table
+    ``phi``, a (d, n) component table that ``check_hom`` accepts.  ``wv`` is
     ``_tables.word_values(w, G, d)`` when the caller already has it."""
-    phi = np.asarray(phi, dtype=np.int64)
-    if phi.ndim != 2 or len(phi) < 1 or phi.shape[1] != G.n:
-        raise ValueError(
-            f"hom must be a (d, {G.n}) component table with d >= 1, "
-            f"got shape {phi.shape}"
-        )
+    phi = check_hom(G, phi)
     d = len(phi)
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but hom has d = {d}")

@@ -200,6 +200,20 @@ def hom_value_table(G, comps):
     return tuple(out)
 
 
+def loop_tuple_tables(G, d):
+    """(product, inverse) index tables of G^d by plain loops: the tuples in
+    itertools.product order, which is index order, multiplied and inverted
+    one coordinate at a time.  product[i][j] is the index of tuple i times
+    tuple j."""
+    tuples = list(itertools.product(range(G.n), repeat=d))
+    index = {t: i for i, t in enumerate(tuples)}
+    mul, inv = G.mul.tolist(), G.inv.tolist()
+    product = [[index[tuple(mul[x][y] for x, y in zip(a, b))]
+                for b in tuples] for a in tuples]
+    inverse = [index[tuple(inv[x] for x in a)] for a in tuples]
+    return product, inverse
+
+
 def fisher_yates_sample(gen, population, k):
     """k distinct integers from [0, population) by partial Fisher-Yates,
     drawing from the scalar generator ``gen`` one step at a time."""

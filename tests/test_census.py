@@ -462,6 +462,23 @@ def test_verify_theorem_with_given_hom(groups):
         verify_theorem(parse_word("x1*x2"), G, hom=np.array([ident]))
 
 
+def test_verify_theorem_rejects_non_homs(groups):
+    # A given table is checked before it is scored: the first component
+    # below swaps the images of 1 and 2, so it is not an endomorphism of C4,
+    # and scoring it would report rho = 1/2 and a pass.
+    C4, ident = groups["C4"], [0, 1, 2, 3]
+    w = parse_word("x1*x2")
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        verify_theorem(w, C4, 2, hom=np.array([[0, 2, 1, 3], ident]))
+    with pytest.raises(ValueError, match="table of ids"):
+        verify_theorem(w, C4, 2, hom=np.array([[0, 1, 2, -1], ident]))
+    with pytest.raises(ValueError, match="table of ids"):
+        verify_theorem(w, C4, 2, hom=[[0, 1, 2], [0, 1, 2]])
+    S3 = groups["S3"]
+    with pytest.raises(ValueError, match="components 0 and 1"):
+        verify_theorem(w, S3, 2, hom=[list(range(6))] * 2)
+
+
 def test_power_equation_count_oracle(groups):
     G = groups["S3"]
     for e in (-1, 2, 3):

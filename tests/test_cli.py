@@ -2,12 +2,14 @@ import json
 import os
 import shutil
 import subprocess
+import time
 import tracemalloc
 import venv
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wordmaplab.cli as cli
 from wordmaplab.familycheck import (adversarial_families, random_family,
@@ -199,37 +201,55 @@ def test_estimate_mode(capsys):
     assert "pass_chain" not in rep["results"]["theorem"]
 
 
+def assert_stderr(capsys, argv, code, line):
+    """``argv`` exits with ``code`` and prints exactly ``line`` on stderr."""
+    assert cli.run(argv) == code, argv
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n", argv
+    assert captured.out == ""
+
+
+NOT_ENDO = "error: component table is not an endomorphism"
+NOT_IDS = "error: component tables must be lists of n element ids"
+
+
 def test_hom_file(tmp_path, capsys):
     hom = tmp_path / "hom.json"
     hom.write_text(json.dumps(
         {"components": [[0, 1, 2, 3], [0, 1, 2, 3]]}
     ))
-    code, rep = run_json(capsys, ["verify-theorem", "--group", "C4",
-                                  "--word", "x1*x2", "--d", "2",
-                                  "--hom", str(hom)])
+    argv = ["verify-theorem", "--group", "C4", "--word", "x1*x2", "--d", "2",
+            "--hom", str(hom)]
+    code, rep = run_json(capsys, argv)
     assert code == 0
     assert rep["results"]["theorem"]["rho"] == "1/1"
 
-    hom.write_text(json.dumps({"components": [[0, 2, 1, 3], [0, 1, 2, 3]]}))
-    assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1*x2",
-                    "--d", "2", "--hom", str(hom)]) == 2  # not an endo
+    arity = 'error: hom file must be an object with "components": 2 tables'
+    # The stderr lines are those of the check that ran in the CLI before
+    # the hom check moved into the library.
+    for data, line in (
+        ({"components": [[0, 2, 1, 3], [0, 1, 2, 3]]}, NOT_ENDO),
+        ({"components": [[0, 1, 2, 3]]}, arity),      # wrong arity
+        ([[0, 1, 2, 3], [0, 1, 2, 3]], arity),        # bare list, no key
+        ({"components": [7, [0, 1, 2, 3]]}, NOT_IDS),  # non-list entry
+    ):
+        hom.write_text(json.dumps(data))
+        assert_stderr(capsys, argv, 2, line)
 
-    hom.write_text(json.dumps({"components": [[0, 1, 2, 3]]}))
-    assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1*x2",
-                    "--d", "2", "--hom", str(hom)]) == 2  # wrong arity
-
-    hom.write_text(json.dumps([[0, 1, 2, 3], [0, 1, 2, 3]]))
-    assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1*x2",
-                    "--d", "2", "--hom", str(hom)]) == 2  # bare list, no key
-
-    hom.write_text(json.dumps({"components": [7, [0, 1, 2, 3]]}))
-    assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1*x2",
-                    "--d", "2", "--hom", str(hom)]) == 2  # non-list entry
-
-    # JSON booleans are not element ids, though Python counts them as ints.
-    hom.write_text(json.dumps({"components": [[False, True, 2, 3]]}))
-    assert cli.run(["verify-theorem", "--group", "C4", "--word", "x1^2",
-                    "--hom", str(hom)]) == 2
+    argv = ["verify-theorem", "--group", "C4", "--word", "x1^2",
+            "--hom", str(hom)]
+    for table, line in (
+        # JSON booleans are not element ids, though Python counts them as
+        # ints.
+        ([False, True, 2, 3], NOT_IDS),
+        ([1, 0, 3, 2], NOT_ENDO),   # a bijection that moves the identity
+        ([0, 0, 0, 1], NOT_ENDO),   # fixes the identity, fails 1 * 3 = 3
+    ):
+        hom.write_text(json.dumps({"components": [table]}))
+        assert_stderr(capsys, argv, 2, line)
+    assert_stderr(capsys, argv[:-1] + [str(tmp_path / "missing.json")], 2,
+                  "error: [Errno 2] No such file or directory: "
+                  f"'{tmp_path / 'missing.json'}'")
 
 
 def test_hom_file_non_commuting_images(tmp_path, capsys):
@@ -240,8 +260,11 @@ def test_hom_file_non_commuting_images(tmp_path, capsys):
     argv = ["verify-theorem", "--group", "S3", "--word", "x1*x2", "--d", "2",
             "--hom", str(hom)]
     hom.write_text(json.dumps({"components": [ident, ident]}))
-    assert cli.run(argv) == 2
-    assert "non-commuting images" in capsys.readouterr().err
+    assert_stderr(capsys, argv, 2,
+                  "error: components 0 and 1 have non-commuting images")
+    # An endomorphism check failure is reported before the commuting one.
+    hom.write_text(json.dumps({"components": [ident, [1] * 6]}))
+    assert_stderr(capsys, argv, 2, NOT_ENDO)
     hom.write_text(json.dumps({"components": [ident, trivial]}))
     assert cli.run(argv) == 0
 
@@ -257,50 +280,122 @@ def test_text_format(capsys):
 
 def test_usage_errors(capsys):
     cases = [
-        ["verify-theorem", "--group", "S3", "--word", "x1^0"],
-        ["verify-theorem", "--group", "Z9", "--word", "x1"],
-        ["verify-theorem", "--word", "x1^2"],            # missing group
-        ["verify-theorem", "--group", "S3"],             # missing word
-        ["verify-mann", "--group", "S3"],                # missing -e
-        ["verify-theorem", "--group", "S3", "--word", "x1^2",
-         "--samples", "10"],
-        ["verify-theorem", "--group", "S3", "--word", "x1^2",
-         "--seed", "-1"],
-        ["verify-theorem", "--group", "S3", "--word", "x1*x2", "--d", "1"],
-        ["verify-lemma", "--file", "/nonexistent/family.txt"],
-        ["no-such-subcommand"],
-        ["verify-theorem", "--group", "S3", "--word", "x1^2", "--bogus"],
-        ["verify-theorem", "--group", "S3", "--word", "x1^2",
-         "--workers", "2"],                              # removed flag
-        ["verify-lemma", "--fuzz", "-3"],
+        (["verify-theorem", "--group", "S3", "--word", "x1^0"],
+         "exponent must be nonzero (at position 3)"),
+        (["verify-theorem", "--group", "Z9", "--word", "x1"],
+         "unrecognised group atom: 'Z9'"),
+        (["verify-theorem", "--word", "x1^2"],
+         "--group is required for this subcommand"),
+        (["verify-theorem", "--group", "S3"],
+         "--word is required for this subcommand"),
+        (["verify-mann", "--group", "S3"], "-e is required for verify-mann"),
+        (["verify-theorem", "--group", "S3", "--word", "x1^2",
+          "--samples", "10"], "--samples must be >= 1000"),
+        (["verify-theorem", "--group", "S3", "--word", "x1^2",
+          "--seed", "-1"], "--seed must be an unsigned 64-bit integer"),
+        (["verify-theorem", "--group", "S3", "--word", "x1*x2", "--d", "1"],
+         "word uses x2 but --d is 1"),
+        (["verify-lemma", "--file", "/nonexistent/family.txt"],
+         "[Errno 2] No such file or directory: '/nonexistent/family.txt'"),
+        (["verify-lemma", "--fuzz", "-3"], "--fuzz must be >= 0"),
+        (["verify-theorem", "--group", "S3", "--word", "1", "--d", "0"],
+         "d must be >= 1"),
     ]
-    for argv in cases:
+    for argv, line in cases:
+        assert_stderr(capsys, argv, 2, "error: " + line)
+    # argparse's own refusals: its usage text wraps with the terminal, so
+    # only the last line is pinned.
+    cases = [
+        (["verify-theorem", "--group", "S3", "--word", "x1^2", "--bogus"],
+         "wordmaplab: error: unrecognized arguments: --bogus"),
+        (["verify-theorem", "--group", "S3", "--word", "x1^2",
+          "--workers", "2"],                              # removed flag
+         "wordmaplab: error: unrecognized arguments: --workers 2"),
+        (["no-such-subcommand"],
+         "wordmaplab: error: argument subcommand: invalid choice: "
+         "'no-such-subcommand'"),
+    ]
+    for argv, line in cases:
         assert cli.run(argv) == 2, argv
-        capsys.readouterr()
+        assert capsys.readouterr().err.splitlines()[-1].startswith(line)
+
+
+def test_unwritable_out(capsys):
+    # The report is written inside the CLI's error handling: a path that
+    # cannot be opened exits 2 with one stderr line and no traceback.
+    assert_stderr(capsys, ["derive-word", "--word", "x1*x2",
+                           "--out", "/nonexistent/d/x"], 2,
+                  "error: [Errno 2] No such file or directory: "
+                  "'/nonexistent/d/x'")
+
+
+@pytest.mark.parametrize("d", [10 ** 6, 10 ** 9])
+@pytest.mark.parametrize("argv,step,n", [
+    (["verify-theorem", "--group", "S3", "--word", "x1^2"], "word table", 6),
+    (["fiber-stats", "--group", "S3", "--word", "x1^2"], "word table", 6),
+    (["hom-search", "--group", "S3"], "hom enumeration", 10),
+])
+def test_huge_exponent_refused(capsys, argv, step, n, d):
+    # n^d is refused before it is formed: at d = 10^6 it has too many
+    # digits to print, and at d = 10^9 it takes seconds to compute.
+    t0 = time.perf_counter()
+    assert_stderr(capsys, argv + ["--d", str(d)], 3,
+                  f"budget exceeded: {step} needs {n}^{d}, budget "
+                  f"{10 ** 8 if step == 'word table' else 10 ** 7}")
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_derive_word_budget(capsys):
+    # 3 (d + |w| + syllables) = 3 (1 + 1000 + 1) syllables are built.
+    argv = ["derive-word", "--word", "x1^1000", "--budget-table"]
+    assert_stderr(capsys, argv + ["3005"], 3,
+                  "budget exceeded: derived word needs 3006, budget 3005")
+    code, rep = run_json(capsys, argv + ["3006"])
+    assert code == 0 and rep["results"]["derive"]["nontrivial"] is True
+    # A huge exponent or variable index is refused at the default budget.
+    for word, need in (("x1^100000000", 300000006),
+                       ("x1000000000", 3000000006)):
+        assert_stderr(capsys, ["derive-word", "--word", word], 3,
+                      f"budget exceeded: derived word needs {need}, "
+                      "budget 100000000")
 
 
 def test_verify_lemma_bad_family_header(tmp_path, capsys):
     # X * I = 10**10 cells exceed --budget-table before anything is
     # allocated (exit 3); a non-positive X or I is malformed (exit 2).
     path = tmp_path / "family.txt"
-    for header, code in (("X=100000 I=100000 rho=1/2", 3),
-                         ("X=0 I=3 rho=1/2", 2),
-                         ("X=4 I=0 rho=1/2", 2),
-                         ("X=4 I=-2 rho=1/2", 2)):
+    bad = "error: bad family header: {} (X and I must be positive)"
+    for header, code, line in (
+        ("X=100000 I=100000 rho=1/2", 3,
+         "budget exceeded: membership matrix needs 10000000000, "
+         "budget 100000000"),
+        ("X=0 I=3 rho=1/2", 2, bad.format("['X=0', 'I=3', 'rho=1/2']")),
+        ("X=4 I=0 rho=1/2", 2, bad.format("['X=4', 'I=0', 'rho=1/2']")),
+        ("X=4 I=-2 rho=1/2", 2, bad.format("['X=4', 'I=-2', 'rho=1/2']")),
+    ):
         path.write_text(header + "\n")
-        assert cli.run(["verify-lemma", "--file", str(path)]) == code, header
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("budget exceeded" if code == 3 else "error")
+        assert_stderr(capsys, ["verify-lemma", "--file", str(path)], code,
+                      line)
 
 
 def test_budget_exit(capsys):
-    assert cli.run(["verify-theorem", "--group", "S3", "--word", "x1*x2",
-                    "--budget-iter", "1000"]) == 3
-    assert cli.run(["verify-theorem", "--group", "S7",
-                    "--word", "x1^2"]) == 3
-    err = capsys.readouterr().err
-    assert "budget" in err
+    for argv, line in (
+        (["verify-theorem", "--group", "S3", "--word", "x1*x2",
+          "--budget-iter", "1000"], "exact census needs 46656, budget 1000"),
+        (["verify-theorem", "--group", "S7", "--word", "x1^2"],
+         "closure of S7 needs 2184, budget 2000"),
+        (["verify-theorem", "--group", "S3", "--word", "x1^2",
+          "--budget-table", "3"], "word table needs 6, budget 3"),
+        (["verify-theorem", "--group", "S4", "--word", "x1*x2", "--d", "2",
+          "--budget-hom", "100"], "endomorphism search needs 576, budget 100"),
+        (["hom-search", "--group", "S4", "--d", "6"],
+         "hom enumeration needs 38068692544, budget 10000000"),
+        (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "12"],
+         "word table needs 2176782336, budget 100000000"),
+        (["verify-mann", "--group", "S6", "-e", "2", "--budget-iter", "1000"],
+         "power equation census needs 373248000, budget 1000"),
+    ):
+        assert_stderr(capsys, argv, 3, "budget exceeded: " + line)
 
 
 def test_memory_error_exit(capsys, monkeypatch):

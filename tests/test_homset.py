@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wordmaplab import cli
+from wordmaplab import cli, homset
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 from wordmaplab.group import (build, closure, direct_product,
@@ -342,7 +342,8 @@ def test_hom_extension_budget(groups, capsys):
         homs_power(G, 3, budget=256 * 16 * 3 - 1)
     assert cli.run(["hom-search", "--group", "C2xC2", "--d", "3",
                     "--budget-hom", "5000"]) == 3
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "budget exceeded: hom extension needs 12288, budget 5000\n"
 
 
 def test_scoring_budget(groups, capsys):
@@ -355,7 +356,29 @@ def test_scoring_budget(groups, capsys):
         best_agreement(w, groups["S3"], 1, table_budget=59)
     assert cli.run(["hom-search", "--group", "S3", "--word", "x1^2",
                     "--budget-table", "59"]) == 3
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "budget exceeded: hom scoring needs 60, budget 59\n"
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
+def test_block_boundaries(spec, groups, monkeypatch):
+    # Blocks of 1 and 7 rows in each blocked loop give the same tables as
+    # the default blocks.  A row holds n cells in the candidate search, k
+    # (endomorphisms) in the pair table and n^2 in the d = 2 scoring.
+    G = groups[spec]
+    w = parse_word("x1^2*x2")
+    endos = endomorphisms(G)
+    homs = homs_power(G, 2)
+    rho, phi = best_agreement(w, G, 2)
+    for rows in (1, 7):
+        monkeypatch.setattr(homset, "BLOCK_CELLS", rows * G.n)
+        assert np.array_equal(endomorphisms(G), endos)
+        monkeypatch.setattr(homset, "BLOCK_CELLS", rows * len(endos))
+        got = homs_power(G, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, homs))
+        monkeypatch.setattr(homset, "BLOCK_CELLS", rows * G.n ** 2)
+        got_rho, got_phi = best_agreement(w, G, 2, homs=homs)
+        assert got_rho == rho and np.array_equal(got_phi, phi)
 
 
 def test_hom_validation(groups):

@@ -1,0 +1,71 @@
+"""The G^d tuple format of ``_tables`` against plain-loop oracles."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wordmaplab._tables import (coordinate_columns, inverse_index,
+                                product_index, tuple_index)
+
+from conftest import loop_tuple_tables
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (6, 2), (5, 3), (24, 2),
+                                 (3, 5)])
+def test_tuple_index_round_trip(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    idx = rng.integers(0, n ** d, size=50)
+    cols = coordinate_columns(n, d, idx)
+    assert all(((c >= 0) & (c < n)).all() for c in cols)
+    assert np.array_equal(tuple_index(n, cols), idx)
+    # A generator of columns and a 2-D array of rows give the same index.
+    assert np.array_equal(tuple_index(n, (c for c in cols)), idx)
+    rows = rng.integers(0, n, size=(d, 4, 7))
+    back = coordinate_columns(n, d, tuple_index(n, rows))
+    assert all(np.array_equal(a, b) for a, b in zip(back, rows))
+    # Every index of G^d, in index order.
+    assert np.array_equal(tuple_index(n, coordinate_columns(n, d)),
+                          np.arange(n ** d))
+
+
+def test_tuple_index_leaves_columns_alone():
+    cols = np.array([[1, 2], [3, 4]])
+    assert tuple_index(5, cols).tolist() == [8, 14]
+    assert cols.tolist() == [[1, 2], [3, 4]]
+
+
+def test_tuple_index_d0():
+    # G^0 has one tuple, index 0.
+    assert tuple_index(7, []).tolist() == [0]
+
+
+@pytest.mark.parametrize("spec,d", [("S3", 1), ("S3", 2), ("Q8", 2),
+                                    ("D4", 2), ("C2xC2", 3), ("C3", 3)])
+def test_product_and_inverse_vs_loop_oracle(spec, d, groups):
+    G = groups[spec]
+    product, inverse = loop_tuple_tables(G, d)
+    every = np.arange(G.n ** d)
+    assert product_index(G, d, every, every).tolist() == product
+    assert inverse_index(G, d).tolist() == inverse
+    # Index subsets in any order, as the pair/triple step passes them.
+    rng = np.random.default_rng(d)
+    left = rng.permutation(every)[:5]
+    right = rng.permutation(every)[:3]
+    got = product_index(G, d, left, right)
+    assert got.tolist() == [[product[a][b] for b in right] for a in left]
+
+
+def test_product_index_holds_two_tables(groups):
+    # The pair/triple step's gate counts 2 |S|^2 cells: the index and one
+    # gather.  At d = 3 a column kept alive while the next one is built
+    # would make it three.
+    members = np.repeat(np.arange(27), 20)
+    cells = len(members) ** 2
+    tracemalloc.start()
+    try:
+        product_index(groups["C3"], 3, members, members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cells * 8, peak / (cells * 8)
