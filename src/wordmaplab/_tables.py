@@ -2,9 +2,9 @@
 
 Tuples (g_1, ..., g_d) over a group of order n are flattened to the index
 g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest; only
-``coordinate_columns`` and ``tuple_index`` convert between the two forms.
-The exact census and the pair/triple step ``census.translate_counts`` share
-one product kernel, ``product_index``.
+``coordinate_column`` and ``tuple_index`` convert between the two forms,
+one column at a time.  The exact census and the pair/triple step
+``census.translate_counts`` share one product kernel, ``product_index``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,19 @@ from .freeword import Word
 from .group import GroupTable, power_table
 
 
-def coordinate_columns(n: int, d: int, idx=None) -> list[np.ndarray]:
-    """Column i holds coordinate i+1 of every index in ``idx`` (default:
-    every index of G^d, in index order)."""
+def coordinate_column(n: int, d: int, i: int, idx=None) -> np.ndarray:
+    """Coordinate i+1 of every index in ``idx`` (default: every index of
+    G^d, in index order)."""
     if idx is None:
-        idx = np.arange(n ** d, dtype=np.int64)
-    return [(idx // n ** (d - 1 - i)) % n for i in range(d)]
+        # Each value repeats n^(d-1-i) times, and the run repeats n^i times.
+        ids = np.arange(n, dtype=np.int64)[:, None]
+        return np.broadcast_to(ids, (n ** i, n, n ** (d - 1 - i))).ravel()
+    return idx // n ** (d - 1 - i) % n
+
+
+def coordinate_columns(n: int, d: int, idx=None):
+    """The d columns of ``coordinate_column``, built one at a time."""
+    return (coordinate_column(n, d, i, idx) for i in range(d))
 
 
 def tuple_index(n: int, cols) -> np.ndarray:
@@ -59,15 +66,15 @@ def word_values(w: Word, G: GroupTable, d: int,
     if d < 0:
         raise ValueError("d must be >= 0")
     size = check_power(G.n, d, budget, "word table")
-    return evaluate_columns(w, G, coordinate_columns(G.n, d), size)
+    return evaluate_columns(w, G, lambda i: coordinate_column(G.n, d, i), size)
 
 
-def evaluate_columns(w: Word, G: GroupTable, cols, size: int) -> np.ndarray:
-    """Evaluate w at ``size`` assignments at once; cols[i] holds the values
-    of x_{i+1}, one per assignment."""
+def evaluate_columns(w: Word, G: GroupTable, column, size: int) -> np.ndarray:
+    """Evaluate w at ``size`` assignments at once; column(i) builds the
+    values of x_{i+1}, one per assignment, for each syllable that reads it."""
     vals = np.zeros(size, dtype=np.int64)
     for var, exp in w.syllables:
         vals *= G.n  # flat index a*n + b into mul, faster than mul[a, b]
-        vals += power_table(G, exp)[cols[var - 1]]
+        vals += power_table(G, exp)[column(var - 1)]
         vals = G.mul.ravel()[vals]
     return vals

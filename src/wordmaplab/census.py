@@ -37,6 +37,9 @@ MIN_SAMPLES = 1_000
 # result, depends only on (seed, samples).
 CHUNK = 8192
 
+# Sampled assignments of the identity in ``verify_commuting_corollary``.
+EQUATION_SAMPLES = 1000
+
 # 95% two-sided normal quantile as an exact rational, 1.96 = 49/25.
 Z95 = Fraction(49, 25)
 _SQRT_DIGITS = 12
@@ -406,7 +409,7 @@ class CommutingReport:
 
 def verify_commuting_corollary(
     G: GroupTable, *,
-    equation_samples: int = 1000, seed: int = 0,
+    seed: int = 0,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> CommutingReport:
@@ -421,11 +424,11 @@ def verify_commuting_corollary(
     rho, _ = best_agreement(w, G, 2, hom_budget, table_budget)
     cp = commuting_probability(G)
     bound = commuting_bound(rho)
-    m = equation_samples
+    m = EQUATION_SAMPLES
     # Columns 1 to 6 hold s1, s2, t1, t2, u1, u2.
     cols = randbelow_block(seed, G.n, m * 6).reshape(m, 6).T
     lhs, rhs, v = (
-        _tables.evaluate_columns(word, G, cols, m)
+        _tables.evaluate_columns(word, G, cols.__getitem__, m)
         for word in (parse_word("x1*x2*x1^-1"),
                      parse_word("x3*x4*x5*x4^-1*x2*x5^-1*x3^-1"),
                      derived_word(w)))
@@ -435,7 +438,7 @@ def verify_commuting_corollary(
         rho=rho,
         commuting_probability=cp,
         bound=bound,
-        equation_samples=equation_samples,
+        equation_samples=m,
         equation_consistent=ok,
         pass_bound=cp >= bound,
     )

@@ -341,14 +341,11 @@ def _render_text(report: dict) -> str:
     lines = []
 
     def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk(f"{prefix}{k}.", v) if isinstance(v, (dict, list)) \
-                    else lines.append(f"{prefix}{k} = {v}")
-        elif isinstance(obj, list):
-            for i, v in enumerate(obj):
-                walk(f"{prefix}{i}.", v) if isinstance(v, (dict, list)) \
-                    else lines.append(f"{prefix}{i} = {v}")
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            if isinstance(v, (dict, list)):
+                walk(f"{prefix}{k}.", v)
+            else:
+                lines.append(f"{prefix}{k} = {v}")
 
     walk("", {"results": report["results"]})
     lines.append("PASS" if report["pass"] else "FAIL")

@@ -1,4 +1,4 @@
-"""Shared error types.
+"""Shared error types, budget defaults and the working-memory block size.
 
 Budgets (group order, candidate counts, iteration counts, table memory) are
 hard limits: exceeding one raises ``BudgetExceededError`` rather than silently
@@ -10,6 +10,9 @@ DEFAULT_ORDER_BUDGET = 2000  # group order
 DEFAULT_CANDIDATE_BUDGET = 10_000_000  # endomorphism candidates and homs
 DEFAULT_ITER_BUDGET = 1_000_000_000  # census triples
 DEFAULT_TABLE_BUDGET = 100_000_000  # table entries, not bytes
+
+# Array cells per block of every blocked step; see ``row_blocks``.
+BLOCK_CELLS = 1 << 17
 
 
 class BudgetExceededError(RuntimeError):
@@ -34,3 +37,11 @@ def check_power(n: int, d: int, budget: int, what: str) -> int:
     need = n ** d
     check_budget(need, budget, what)
     return need
+
+
+def row_blocks(total: int, width: int):
+    """Bounds (lo, hi) of consecutive blocks covering rows 0..total-1, each
+    of at most BLOCK_CELLS // width rows (at least one) of width cells."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    for lo in range(0, total, step):
+        yield lo, min(lo + step, total)

@@ -19,17 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import check_rho, f1, f2, parse_rat, rat_str
-from .errors import DEFAULT_TABLE_BUDGET, check_budget
+from .errors import DEFAULT_TABLE_BUDGET, check_budget, row_blocks
 from .rng import SplitMix64, derive_seed, randbelow_rows
 
 
 class InfeasibleParametersError(ValueError):
     """Requested family parameters violate the hypotheses."""
-
-
-# Row pairs counted per block by ``_pairs_reaching``; the accumulator and the
-# AND scratch each hold this many 64-bit cells.
-OVERLAP_BLOCK_CELLS = 1 << 16
 
 
 def _ceil_frac(q: Fraction) -> int:
@@ -99,16 +94,13 @@ def _pairs_reaching(sets: np.ndarray, need: int) -> int:
     buf = np.zeros((i_size, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     buf[:, :packed.shape[1]] = packed
     words = buf.view(np.uint64).T.copy()
-    step = max(1, OVERLAP_BLOCK_CELLS // max(i_size, 1))
-    anded = np.empty((min(step, i_size), i_size), dtype=np.uint64)
     count = 0
-    for lo in range(0, i_size, step):
-        hi = min(lo + step, i_size)
+    for lo, hi in row_blocks(i_size, i_size):
         acc = np.zeros((hi - lo, i_size), dtype=np.int64)
+        anded = np.empty_like(acc, dtype=np.uint64)
         for word in words:
-            np.bitwise_and(word[lo:hi, None], word[None, :],
-                           out=anded[:hi - lo])
-            acc += np.bitwise_count(anded[:hi - lo])
+            np.bitwise_and(word[lo:hi, None], word[None, :], out=anded)
+            acc += np.bitwise_count(anded)
         count += int(np.count_nonzero(acc >= need))
     return count
 

@@ -21,12 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_BUDGET, check_budget
-
-# Table cells per row block of Light's associativity test in
-# ``validate_table``, so that validation needs a fixed amount of working
-# memory on top of the table it checks.
-ASSOC_BLOCK_CELLS = 1 << 18
+from .errors import DEFAULT_ORDER_BUDGET, check_budget, row_blocks
 
 
 class GroupSpecError(ValueError):
@@ -94,11 +89,10 @@ def validate_table(G: GroupTable) -> None:
         raise ValueError("element 0 is not the identity")
     if not (M[ids, inv] == 0).all() or not (M[inv, ids] == 0).all():
         raise ValueError("inv table is wrong")
-    rows = max(1, ASSOC_BLOCK_CELLS // n)
     for g in greedy_generators(G)[0]:
-        for lo in range(0, n, rows):
+        for lo, hi in row_blocks(n, n):
             # row x, column y: (x g) y against x (g y)
-            block = M[lo:lo + rows]
+            block = M[lo:hi]
             if not np.array_equal(M[block[:, g]], block[:, M[g]]):
                 raise ValueError("multiplication is not associative")
     orders = element_orders(G)

@@ -24,13 +24,9 @@ import numpy as np
 
 from . import _tables
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
-                     check_budget, check_power)
+                     check_budget, check_power, row_blocks)
 from .freeword import Word, reduce
 from .group import GroupTable, greedy_generators
-
-# Array cells per block of endomorphism candidates, pair-table rows or
-# scored homs, so that working memory stays flat as the search grows.
-BLOCK_CELLS = 1 << 17
 
 
 def _respects_generators(G: GroupTable, gens: list[int],
@@ -62,11 +58,10 @@ def endomorphisms(
     k = len(gens)
     total = n ** k
     check_budget(total, budget, "endomorphism search")
-    step = max(1, BLOCK_CELLS // n)
     out = []
-    for lo in range(0, total, step):
-        idx = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        images = np.array(_tables.coordinate_columns(n, k, idx))
+    for lo, hi in row_blocks(total, n):
+        idx = np.arange(lo, hi, dtype=np.int64)
+        images = np.array(list(_tables.coordinate_columns(n, k, idx)))
         # vals[e, c] = phi_c(e) for candidate c of the block.
         vals = np.zeros((n, len(idx)), dtype=np.int64)
         for elems, parents, gen_idx in levels:
@@ -87,13 +82,27 @@ def check_hom(G: GroupTable, phi) -> np.ndarray:
     gens, _ = greedy_generators(G)
     if _respects_generators(G, gens, phi.T).shape[1] < len(phi):
         raise ValueError("component table is not an endomorphism")
-    commutes = G.mul == G.mul.T
-    for i in range(len(phi)):
-        for j in range(i + 1, len(phi)):
-            if not commutes[np.ix_(phi[i], phi[j])].all():
-                raise ValueError(f"components {i} and {j} have "
-                                 "non-commuting images")
+    # The first pair i < j in row-major order whose images do not commute.
+    bad = np.argwhere(np.triu(~_commuting_pairs(G, phi), 1))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"components {i} and {j} have non-commuting images")
     return phi
+
+
+def _commuting_pairs(G: GroupTable, rows: np.ndarray) -> np.ndarray:
+    """ok[i, j]: no non-commuting pair (a, b) lies in im_i x im_j, for the
+    value rows i and j of the (k, n) table ``rows``.  A matmul counts such
+    pairs over 0/1 image indicators, a block of rows at a time; each count is
+    an integer of at most n^2, so float64 arithmetic is exact."""
+    M = G.mul
+    ind = np.zeros((len(rows), G.n))
+    np.put_along_axis(ind, rows, 1.0, axis=1)
+    left = ind @ (M != M.T).astype(np.float64)
+    ok = np.empty((len(rows), len(rows)), dtype=bool)
+    for lo, hi in row_blocks(len(rows), len(rows)):
+        ok[lo:hi] = left[lo:hi] @ ind.T == 0
+    return ok
 
 
 def _bijective(endos: np.ndarray) -> np.ndarray:
@@ -128,18 +137,7 @@ def homs_power(
     check_power(k, d, budget, "hom enumeration")
     if d == 1:
         return endos, np.arange(k, dtype=np.int64)[:, None]
-    # pair_ok[i, j]: the images of endos i and j commute elementwise, that
-    # is, no non-commuting pair (a, b) lies in im_i x im_j.  The matmul counts
-    # such pairs over 0/1 image indicators; every count is an integer of at
-    # most n^2, so float64 arithmetic is exact.
-    M = G.mul
-    ind = np.zeros((k, G.n))
-    np.put_along_axis(ind, endos, 1.0, axis=1)
-    left = ind @ (M != M.T).astype(np.float64)
-    pair_ok = np.empty((k, k), dtype=bool)
-    step = max(1, BLOCK_CELLS // k)
-    for lo in range(0, k, step):
-        pair_ok[lo:lo + step] = left[lo:lo + step] @ ind.T == 0
+    pair_ok = _commuting_pairs(G, endos)
     # Row-major order of the admissible prefixes, extended one column at a
     # time, is the product order of the admissible d-tuples.
     tuples = np.argwhere(pair_ok)
@@ -211,11 +209,9 @@ def best_agreement(
     check_budget(len(tuples) * size, table_budget, "hom scoring")
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
-    M = G.mul
-    step = max(1, BLOCK_CELLS // size)
     counts = np.concatenate([
-        (_hom_values(M, endos[tuples[lo:lo + step]]) == wv).sum(axis=1)
-        for lo in range(0, len(tuples), step)
+        (_hom_values(G.mul, endos[tuples[lo:hi]]) == wv).sum(axis=1)
+        for lo, hi in row_blocks(len(tuples), size)
     ])
     best = int(np.argmax(counts))  # argmax returns the first of any ties
     return Fraction(int(counts[best]), size), endos[tuples[best]]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordmaplab import familycheck
+from wordmaplab import errors
 from wordmaplab.bounds import f2
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.familycheck import (
@@ -133,7 +133,7 @@ def test_pairs_reaching_block_boundaries(monkeypatch, rows_per_block):
     for x_size in (1, 63, 64, 65, 129):
         for i_size in (1, 2, 13):
             if rows_per_block is not None:
-                monkeypatch.setattr(familycheck, "OVERLAP_BLOCK_CELLS",
+                monkeypatch.setattr(errors, "BLOCK_CELLS",
                                     rows_per_block * i_size)
             sets = random_rows(rng, i_size, x_size)
             overlap = sets.astype(np.int64) @ sets.T.astype(np.int64)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wordmaplab import group
+from wordmaplab import errors
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.group import (
     GroupSpecError,
@@ -307,8 +307,8 @@ def test_light_test_rejects_large_loop(monkeypatch):
     mul = loop[:, None, :, None] * 16 + C.mul[None, :, None, :]
     mul = mul.reshape(80, 80)
     q = GroupTable(mul=mul, inv=np.argmax(mul == 0, axis=1))
-    for cells in (80, 7 * 80, group.ASSOC_BLOCK_CELLS):
-        monkeypatch.setattr(group, "ASSOC_BLOCK_CELLS", cells)
+    for cells in (80, 7 * 80, errors.BLOCK_CELLS):
+        monkeypatch.setattr(errors, "BLOCK_CELLS", cells)
         with pytest.raises(ValueError, match="associative"):
             validate_table(q)
         validate_table(build("C5xC16"))

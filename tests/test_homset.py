@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wordmaplab import cli, homset
+from wordmaplab import cli, errors
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 from wordmaplab.group import (build, closure, direct_product,
@@ -361,24 +362,36 @@ def test_scoring_budget(groups, capsys):
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
-def test_block_boundaries(spec, groups, monkeypatch):
+def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
     # Blocks of 1 and 7 rows in each blocked loop give the same tables as
     # the default blocks.  A row holds n cells in the candidate search, k
-    # (endomorphisms) in the pair table and n^2 in the d = 2 scoring.
+    # (endomorphisms) in the pair table, n^2 in the d = 2 scoring and d in
+    # the commuting-pair check of a hom file.
     G = groups[spec]
     w = parse_word("x1^2*x2")
     endos = endomorphisms(G)
     homs = homs_power(G, 2)
     rho, phi = best_agreement(w, G, 2)
+    # Components 1 and 2 are the identity of a nonabelian group; component
+    # 0 is trivial, so only the last pair of the check fails.
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"components": [[0] * G.n, list(range(G.n)),
+                                              list(range(G.n))]}))
+    argv = ["verify-theorem", "--group", spec, "--word", "x1", "--d", "3",
+            "--hom", str(hom)]
     for rows in (1, 7):
-        monkeypatch.setattr(homset, "BLOCK_CELLS", rows * G.n)
+        monkeypatch.setattr(errors, "BLOCK_CELLS", rows * G.n)
         assert np.array_equal(endomorphisms(G), endos)
-        monkeypatch.setattr(homset, "BLOCK_CELLS", rows * len(endos))
+        monkeypatch.setattr(errors, "BLOCK_CELLS", rows * len(endos))
         got = homs_power(G, 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, homs))
-        monkeypatch.setattr(homset, "BLOCK_CELLS", rows * G.n ** 2)
+        monkeypatch.setattr(errors, "BLOCK_CELLS", rows * G.n ** 2)
         got_rho, got_phi = best_agreement(w, G, 2, homs=homs)
         assert got_rho == rho and np.array_equal(got_phi, phi)
+        monkeypatch.setattr(errors, "BLOCK_CELLS", rows * 3)
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: components 1 and 2 have non-commuting images\n"
 
 
 def test_hom_validation(groups):

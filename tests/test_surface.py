@@ -1,4 +1,5 @@
-"""Dead-helper guard: every function or class in the package serves a caller.
+"""Surface guards: every function or class in the package serves a caller,
+and one module owns the working-memory block size.
 
 Each public module-level function or class of ``src/wordmaplab`` must be
 exported through ``wordmaplab.__all__``, be a ``[project.scripts]`` entry
@@ -11,6 +12,7 @@ belong in ``tests/conftest.py``.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -88,3 +90,14 @@ def test_no_dead_private_helpers():
                                          for mod, node in defs}
     dead = _unnamed(modules, defs)
     assert not dead, f"private helpers nothing in src/ uses: {dead}"
+
+
+def test_block_size_lives_in_errors():
+    # Every blocked step reads ``errors.BLOCK_CELLS`` through
+    # ``errors.row_blocks``.  A copy in another module, assigned or
+    # imported, would be a second policy that patching ``errors`` misses.
+    owners = [f"{mod}.{name}" for mod in _modules()
+              for name in vars(importlib.import_module(
+                  f"wordmaplab.{mod}".removesuffix(".__init__")))
+              if name.endswith("BLOCK_CELLS")]
+    assert owners == ["errors.BLOCK_CELLS"]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wordmaplab._tables import (coordinate_columns, inverse_index,
-                                product_index, tuple_index)
+                                product_index, tuple_index, word_values)
+from wordmaplab.freeword import parse_word
 
 from conftest import loop_tuple_tables
 
@@ -16,7 +17,7 @@ from conftest import loop_tuple_tables
 def test_tuple_index_round_trip(n, d):
     rng = np.random.default_rng(n * 10 + d)
     idx = rng.integers(0, n ** d, size=50)
-    cols = coordinate_columns(n, d, idx)
+    cols = list(coordinate_columns(n, d, idx))
     assert all(((c >= 0) & (c < n)).all() for c in cols)
     assert np.array_equal(tuple_index(n, cols), idx)
     # A generator of columns and a 2-D array of rows give the same index.
@@ -69,3 +70,19 @@ def test_product_index_holds_two_tables(groups):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * cells * 8, peak / (cells * 8)
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_tables_over_g_d_hold_one_column_at_a_time(d, groups):
+    # The word table's gate counts one table of 2^d cells; building all d
+    # coordinate columns at once would hold d + 1 of them.
+    C2, table = groups["C2"], 8 * 2 ** d
+    for build_table in (lambda: word_values(parse_word("x1"), C2, d),
+                        lambda: inverse_index(C2, d)):
+        tracemalloc.start()
+        try:
+            build_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * table, peak / table
