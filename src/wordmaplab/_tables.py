@@ -52,12 +52,6 @@ def product_index(G: GroupTable, d: int, left, right) -> np.ndarray:
                         coordinate_columns(G.n, d, right))))
 
 
-def inverse_index(G: GroupTable, d: int) -> np.ndarray:
-    """Index of the inverse of every tuple of G^d, in index order."""
-    cols = coordinate_columns(G.n, d)
-    return tuple_index(G.n, (G.inv[c] for c in cols))
-
-
 def word_values(w: Word, G: GroupTable, d: int,
                 budget: int = DEFAULT_TABLE_BUDGET) -> np.ndarray:
     """Evaluate w on every tuple of G^d; returns an array of n^d element ids."""

@@ -28,7 +28,7 @@ from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_ITER_BUDGET,
                      check_power)
 from .freeword import Word, derived_word, parse_word
 from .group import GroupTable, commuting_probability, power_table
-from .homset import agreement_set, best_agreement, check_hom
+from .homset import agreement_flags, best_agreement, check_hom
 from .rng import derive_seed, randbelow_block
 
 MIN_SAMPLES = 1_000
@@ -242,13 +242,15 @@ def translate_counts(
         raise ValueError("S must be nonempty")
     check_budget(m * m, iter_budget, "pair and triple step")
     check_budget(2 * m * m, table_budget, "translate table")
-    inverses = _tables.inverse_index(G, d)[members]
+    inverses = _tables.tuple_index(G.n, (
+        G.inv[c] for c in _tables.coordinate_columns(G.n, d, members)))
     c = np.bincount(_tables.product_index(G, d, members, inverses).ravel(),
                     minlength=size)
     p = np.bincount(_tables.product_index(G, d, inverses, members).ravel(),
                     minlength=size)
-    thr = Fraction(threshold)
-    pairs = int(p[c * thr.denominator >= thr.numerator * size].sum())
+    # Overlaps are integers, so one reaches threshold * |G|^d exactly when
+    # it reaches the ceiling of that bound.
+    pairs = int(p[c >= math.ceil(Fraction(threshold) * size)].sum())
     return pairs, int(p @ c)
 
 
@@ -303,8 +305,10 @@ def verify_theorem(
     """
     if d is None:
         d = max(w.arity, 1)
-    if hom is not None and len(check_hom(G, hom)) != d:
-        raise ValueError(f"hom has d = {len(hom)}, expected {d}")
+    if hom is not None:
+        hom = check_hom(G, hom)
+        if len(hom) != d:
+            raise ValueError(f"hom has d = {len(hom)}, expected {d}")
     # One word table serves the hom scoring, the agreement set and the census.
     wv = _tables.word_values(w, G, d, table_budget)
     n = G.n
@@ -312,7 +316,7 @@ def verify_theorem(
     space = size ** 3
     if hom is None:
         _, hom = best_agreement(w, G, d, hom_budget, table_budget, wv=wv)
-    flags = agreement_set(w, G, hom, table_budget, wv=wv)
+    flags = agreement_flags(G, hom, wv)
     s_size = int(flags.sum())
     rho = Fraction(s_size, size)
     bt = bound_triple(rho)

@@ -280,7 +280,8 @@ def _cmd_commuting_probability(cfg: argparse.Namespace):
     results = {
         "group": G.name,
         "commuting_probability": rat_str(cp),
-        # k(G) = |G| cp(G), as in ``group.conjugacy_class_count``.
+        # k(G) = |G| cp(G) by Burnside's lemma: the classes are the orbits
+        # of conjugation, and g fixes |C_G(g)| elements.
         "conjugacy_classes": int(cp * G.n),
         "order": G.n,
     }

@@ -5,8 +5,8 @@ An instance is a family of subsets M_1..M_I of a ground set X with
 f1(rho) |X|^2 ordered index pairs (diagonal included) have
 |M_i ∩ M_j| >= f2(rho) |X|.  ``verify_lemma`` measures the exact pair count;
 ``random_family`` (seeded, vectorized partial Fisher-Yates) and
-``adversarial_families`` supply fuzz and boundary instances.  Instances
-round-trip through a one-set-per-line text format.
+``adversarial_families`` supply fuzz and boundary instances, and
+``load_family`` reads one from a one-set-per-line text file.
 """
 
 from __future__ import annotations
@@ -248,25 +248,11 @@ def adversarial_families() -> list[FamilyInstance]:
     return out
 
 
-def save_family(inst: FamilyInstance, path_or_file) -> None:
-    """Text format: header 'X=<n> I=<m> rho=<num>/<den>', then one line of
-    sorted 0-based member indices per set."""
-    def write(fh):
-        fh.write(f"X={inst.x_size} I={inst.i_size} rho={rat_str(inst.rho)}\n")
-        for row in inst.sets:
-            fh.write(" ".join(str(i) for i in np.nonzero(row)[0]) + "\n")
-
-    if isinstance(path_or_file, io.TextIOBase):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            write(fh)
-
-
 def load_family(path_or_file, label: str = "",
                 table_budget: int = DEFAULT_TABLE_BUDGET) -> FamilyInstance:
-    """Read the ``save_family`` format; only blank lines may follow the I
-    set lines.  The I x |X| membership matrix counts against
+    """Read a family file: a header 'X=<n> I=<m> rho=<num>/<den>', then one
+    line of 0-based member indices per set; only blank lines may follow the
+    I set lines.  The I x |X| membership matrix counts against
     ``table_budget``."""
     def read(fh):
         header = fh.readline().split()

@@ -134,11 +134,6 @@ def derived_word(w: Word) -> Word:
     return concat(lhs, invert(w_z), invert(w_y), w)
 
 
-def is_nontrivial_derived(w: Word) -> bool:
-    """Whether the derived word survives reduction (w = x1 does not)."""
-    return bool(derived_word(w))
-
-
 def parse_word(text: str) -> Word:
     """Parse word text: terms 'x<index>' or 'x<index>^<exp>' separated by
     '*' or whitespace.  Empty, blank, or '1' input is the empty word."""

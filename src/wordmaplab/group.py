@@ -355,20 +355,6 @@ def power_table(G: GroupTable, e: int) -> np.ndarray:
     return acc
 
 
-def is_abelian(G: GroupTable) -> bool:
-    return bool((G.mul == G.mul.T).all())
-
-
-def centralizer_size(G: GroupTable, g: int) -> int:
-    return int((G.mul[:, g] == G.mul[g, :]).sum())
-
-
 def commuting_probability(G: GroupTable) -> Fraction:
     """Exact proportion of commuting ordered pairs, |{(a,b): ab=ba}| / n^2."""
     return Fraction(int((G.mul == G.mul.T).sum()), G.n * G.n)
-
-
-def conjugacy_class_count(G: GroupTable) -> int:
-    """k(G) = |G| cp(G) by Burnside's lemma: the classes are the orbits of
-    conjugation, and g fixes |C_G(g)| elements."""
-    return int(commuting_probability(G) * G.n)

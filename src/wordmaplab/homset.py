@@ -25,7 +25,7 @@ import numpy as np
 from . import _tables
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
                      check_budget, check_power, row_blocks)
-from .freeword import Word, reduce
+from .freeword import Word
 from .group import GroupTable, greedy_generators
 
 
@@ -112,14 +112,6 @@ def _bijective(endos: np.ndarray) -> np.ndarray:
     return (endos == 0).sum(axis=1) == 1
 
 
-def automorphisms(
-    G: GroupTable, budget: int = DEFAULT_CANDIDATE_BUDGET
-) -> np.ndarray:
-    """The rows of ``endomorphisms(G)`` that are bijective, in order."""
-    endos = endomorphisms(G, budget)
-    return endos[_bijective(endos)]
-
-
 def homs_power(
     G: GroupTable, d: int, budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,20 +159,11 @@ def _hom_values(M: np.ndarray, comps: np.ndarray) -> np.ndarray:
     return vals.reshape(h, n ** d)
 
 
-def agreement_set(
-    w: Word, G: GroupTable, phi: np.ndarray,
-    budget: int = DEFAULT_TABLE_BUDGET,
-    wv: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean flags over G^d marking tuples where w agrees with the hom
-    ``phi``, a (d, n) component table that ``check_hom`` accepts.  ``wv`` is
-    ``_tables.word_values(w, G, d)`` when the caller already has it."""
-    phi = check_hom(G, phi)
-    d = len(phi)
-    if w.arity > d:
-        raise ValueError(f"word uses x{w.arity} but hom has d = {d}")
-    if wv is None:
-        wv = _tables.word_values(w, G, d, budget)
+def agreement_flags(G: GroupTable, phi: np.ndarray,
+                    wv: np.ndarray) -> np.ndarray:
+    """Boolean flags over G^d marking the tuples where the hom ``phi``, a
+    (d, n) table that ``check_hom`` has accepted, agrees with the word
+    table ``wv``."""
     return _hom_values(G.mul, phi[None])[0] == wv
 
 
@@ -196,9 +179,9 @@ def best_agreement(
 
     Ties go to the earliest hom in enumeration order, so the witness is
     deterministic.  Scoring compares every hom with w on all of G^d, and
-    that many cells must fit ``table_budget``.  ``wv`` is as in
-    ``agreement_set``; ``homs`` is ``homs_power(G, d, hom_budget)`` when the
-    caller already has it.
+    that many cells must fit ``table_budget``.  ``wv`` is
+    ``_tables.word_values(w, G, d)`` and ``homs`` is ``homs_power(G, d,
+    hom_budget)`` when the caller already has them.
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
@@ -215,15 +198,3 @@ def best_agreement(
     ])
     best = int(np.argmax(counts))  # argmax returns the first of any ties
     return Fraction(int(counts[best]), size), endos[tuples[best]]
-
-
-def power_agreement_profile(
-    G: GroupTable, e: int, automorphisms_only: bool = False,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> Fraction:
-    """Best agreement proportion of the e-th power map with a single
-    endomorphism (or automorphism) of G."""
-    wv = _tables.word_values(reduce([(1, e)]), G, 1)
-    pool = automorphisms(G, budget) if automorphisms_only \
-        else endomorphisms(G, budget)
-    return Fraction(int((pool == wv).sum(axis=1).max()), G.n)

@@ -7,15 +7,19 @@ from a second, slower direction.
 
 from __future__ import annotations
 
+import io
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wordmaplab import build
 from wordmaplab._tables import coordinate_columns, word_values
+from wordmaplab.bounds import rat_str
 from wordmaplab.census import CHUNK
 from wordmaplab.freeword import Word, reduce
+from wordmaplab.homset import endomorphisms
 from wordmaplab.rng import GOLDEN, MASK64, SplitMix64, derive_seed
 
 # The verification battery: every group spec used by the acceptance suite.
@@ -63,6 +67,10 @@ def element_power(G, g: int, e: int) -> int:
         base = G.mul.item(base, base)
         e >>= 1
     return acc
+
+
+def is_abelian(G) -> bool:
+    return bool((G.mul == G.mul.T).all())
 
 
 def conjugacy_classes(G) -> int:
@@ -200,6 +208,27 @@ def hom_value_table(G, comps):
     return tuple(out)
 
 
+def agreement_set(w, G, comps) -> np.ndarray:
+    """Flags over G^d, in index order, marking the tuples where w agrees
+    with the hom whose component tables are ``comps``, by plain loops."""
+    tuples = itertools.product(range(G.n), repeat=len(comps))
+    return np.array([h == evaluate_word(w, G, t)
+                     for h, t in zip(hom_value_table(G, comps), tuples)],
+                    dtype=bool)
+
+
+def power_agreement_profile(G, e: int, automorphisms_only: bool = False):
+    """Best agreement proportion of the e-th power map with a single
+    endomorphism (or automorphism: a bijective one) of G, one element at a
+    time."""
+    power = [element_power(G, g, e) for g in range(G.n)]
+    pool = endomorphisms(G).tolist()
+    if automorphisms_only:
+        pool = [row for row in pool if len(set(row)) == G.n]
+    return Fraction(max(sum(a == b for a, b in zip(row, power))
+                        for row in pool), G.n)
+
+
 def loop_tuple_tables(G, d):
     """(product, inverse) index tables of G^d by plain loops: the tuples in
     itertools.product order, which is index order, multiplied and inverted
@@ -226,6 +255,22 @@ def fisher_yates_sample(gen, population, k):
         out.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
     return out
+
+
+def save_family(inst, path_or_file) -> None:
+    """Write ``inst`` as a family file that ``load_family`` and
+    ``verify-lemma --file`` read: the header 'X=<n> I=<m> rho=<num>/<den>',
+    then one line of sorted 0-based member indices per set."""
+    def write(fh):
+        fh.write(f"X={inst.x_size} I={inst.i_size} rho={rat_str(inst.rho)}\n")
+        for row in inst.sets:
+            fh.write(" ".join(str(i) for i in np.nonzero(row)[0]) + "\n")
+
+    if isinstance(path_or_file, io.TextIOBase):
+        write(path_or_file)
+    else:
+        with open(path_or_file, "w") as fh:
+            write(fh)
 
 
 def family_oracle(x_size, i_size, set_size, seed):

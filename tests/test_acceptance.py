@@ -19,12 +19,13 @@ from wordmaplab.census import (
 )
 from wordmaplab.familycheck import adversarial_families, fuzz_instances, verify_lemma
 from wordmaplab.freeword import derived_word, parse_word
-from wordmaplab.group import commuting_probability, is_abelian
-from wordmaplab.homset import homs_power, power_agreement_profile
+from wordmaplab.group import commuting_probability
+from wordmaplab.homset import homs_power
 from wordmaplab.rng import SplitMix64
 
 from conftest import (BATTERY_SPECS, EXTENDED_SPECS, hom_value_table,
-                      naive_census, random_reduced_word)
+                      is_abelian, naive_census, power_agreement_profile,
+                      random_reduced_word)
 
 WORDS = ["x1^2", "x1^3", "x1^-1", "x1^5", "x1*x2", "x1*x2*x1^-1*x2^-1"]
 

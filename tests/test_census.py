@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordmaplab import build
+from wordmaplab import build, census, homset
 from wordmaplab.bounds import commuting_bound, f as bound_triple
 from wordmaplab.census import (
     CHUNK,
@@ -21,12 +21,13 @@ from wordmaplab.census import (
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import EMPTY, derived_word, parse_word, reduce
 from wordmaplab.group import GroupTable
-from wordmaplab.homset import agreement_set, best_agreement, endomorphisms
+from wordmaplab.homset import best_agreement, endomorphisms
 from wordmaplab.rng import SplitMix64
 from wordmaplab._tables import word_values
 
-from conftest import (BATTERY_SPECS, element_power, estimator_hits,
-                      evaluate_word, naive_census, plane_census)
+from conftest import (BATTERY_SPECS, agreement_set, element_power,
+                      estimator_hits, evaluate_word, naive_census,
+                      plane_census)
 
 COMMUTATOR = "x1*x2*x1^-1*x2^-1"
 
@@ -477,6 +478,27 @@ def test_verify_theorem_rejects_non_homs(groups):
     S3 = groups["S3"]
     with pytest.raises(ValueError, match="components 0 and 1"):
         verify_theorem(w, S3, 2, hom=[list(range(6))] * 2)
+
+
+def test_verify_theorem_checks_a_hom_once(groups, monkeypatch):
+    # A given table is checked once, before the word table is built; a
+    # searched hom is built from checked endomorphisms and not re-checked.
+    calls = []
+    check_hom = homset.check_hom
+
+    def counted(*args):
+        calls.append(args)
+        return check_hom(*args)
+
+    monkeypatch.setattr(homset, "check_hom", counted)
+    monkeypatch.setattr(census, "check_hom", counted)
+    C4, ident = groups["C4"], [0, 1, 2, 3]
+    w = parse_word("x1*x2")
+    rep = verify_theorem(w, C4, 2, hom=np.array([ident, ident]))
+    assert rep.rho == 1 and len(calls) == 1
+    calls.clear()
+    rep = verify_theorem(w, C4, 2)
+    assert rep.rho == 1 and calls == []
 
 
 def test_power_equation_count_oracle(groups):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import wordmaplab.cli as cli
-from wordmaplab.familycheck import (adversarial_families, random_family,
-                                    save_family)
+from wordmaplab.familycheck import adversarial_families, random_family
+
+from conftest import save_family
 
 
 def run_json(capsys, argv):

@@ -20,12 +20,11 @@ from wordmaplab.familycheck import (
     fuzz_instances,
     load_family,
     random_family,
-    save_family,
     verify_lemma,
 )
 from wordmaplab.rng import MASK64, derive_seed
 
-from conftest import family_oracle, seed_with_raw
+from conftest import family_oracle, save_family, seed_with_raw
 
 
 def windows_instance():

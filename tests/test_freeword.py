@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wordmaplab import cli
 from wordmaplab.freeword import (
     EMPTY,
     Word,
@@ -9,7 +12,6 @@ from wordmaplab.freeword import (
     concat,
     derived_word,
     invert,
-    is_nontrivial_derived,
     parse_word,
     reduce,
     substitute,
@@ -130,13 +132,17 @@ def test_derived_word_structure():
     for w in seeded_words(100, 10, 3, seed=404):
         v = derived_word(w)
         assert v.arity <= 3 * w.arity
-        assert is_nontrivial_derived(w) == (v != EMPTY)
+        assert bool(v) == (v != EMPTY)
 
 
-def test_is_nontrivial_derived():
-    assert not is_nontrivial_derived(parse_word("x1"))
-    assert is_nontrivial_derived(parse_word("x1*x2"))
-    assert is_nontrivial_derived(parse_word("x1^2"))
+def test_is_nontrivial_derived(capsys):
+    # A derived word is nontrivial when it survives reduction; derive-word
+    # reports the same in its ``nontrivial`` field.
+    for text, expected in (("x1", False), ("x1*x2", True), ("x1^2", True)):
+        assert bool(derived_word(parse_word(text))) == expected
+        assert cli.run(["derive-word", "--word", text]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["results"]["derive"]["nontrivial"] is expected
 
 
 def test_random_reduced_word_properties():

@@ -1,25 +1,23 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wordmaplab import errors
+from wordmaplab import cli, errors
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.group import (
     GroupSpecError,
     GroupTable,
     alternating,
     build,
-    centralizer_size,
     closure,
     commuting_probability,
-    conjugacy_class_count,
     cyclic,
     dihedral,
     direct_product,
     element_orders,
-    is_abelian,
     parse_cycles,
     power_table,
     quaternion,
@@ -27,7 +25,8 @@ from wordmaplab.group import (
     validate_table,
 )
 
-from conftest import EXTENDED_SPECS, conjugacy_classes, element_power
+from conftest import (EXTENDED_SPECS, conjugacy_classes, element_power,
+                      is_abelian)
 
 ORDERS = {
     "C1": 1, "C2": 2, "C6": 6, "C8": 8, "C2xC2": 4, "C2xC4": 8,
@@ -184,13 +183,6 @@ def test_element_power():
         ]
 
 
-def test_centralizers_in_s3():
-    G = symmetric(3)
-    sizes = sorted(centralizer_size(G, g) for g in range(6))
-    assert sizes == [2, 2, 2, 3, 3, 6]
-    assert centralizer_size(G, 0) == 6
-
-
 COMMUTING = {
     "S3": Fraction(1, 2),
     "D4": Fraction(5, 8),
@@ -205,16 +197,20 @@ CLASS_COUNTS = {"S3": 3, "D4": 5, "Q8": 5, "A4": 4, "C6": 6}
 def test_commuting_probability_pinned(spec, groups):
     G = groups[spec]
     assert commuting_probability(G) == COMMUTING[spec]
-    assert conjugacy_class_count(G) == CLASS_COUNTS[spec]
+    assert conjugacy_classes(G) == CLASS_COUNTS[spec]
 
 
-def test_commuting_probability_oracle(groups):
-    for G in groups.values():
+def test_commuting_probability_oracle(groups, capsys):
+    for spec, G in groups.items():
         pairs = sum(
             G.mul[a][b] == G.mul[b][a] for a in range(G.n) for b in range(G.n)
         )
         assert commuting_probability(G) == Fraction(pairs, G.n**2)
-        assert conjugacy_class_count(G) == conjugacy_classes(G)
+        # The CLI's class count, |G| cp(G) by Burnside, against the orbits.
+        assert cli.run(["commuting-probability", "--group", spec]) == 0
+        out = json.loads(capsys.readouterr().out)
+        classes = out["results"]["commuting_probability"]["conjugacy_classes"]
+        assert classes == conjugacy_classes(G), spec
 
 
 def test_alternating_small():

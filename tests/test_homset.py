@@ -8,20 +8,23 @@ import numpy as np
 import pytest
 
 from wordmaplab import cli, errors
+from wordmaplab._tables import word_values
+from wordmaplab.census import verify_theorem
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 from wordmaplab.group import (build, closure, direct_product,
                               greedy_generators, parse_cycles)
 from wordmaplab.homset import (
-    agreement_set,
-    automorphisms,
+    _bijective,
+    agreement_flags,
     best_agreement,
+    check_hom,
     endomorphisms,
     homs_power,
-    power_agreement_profile,
 )
 
-from conftest import brute_force_endos, expressions, hom_value_table
+from conftest import (agreement_set, brute_force_endos, expressions,
+                      hom_value_table, power_agreement_profile)
 
 
 def assert_walk(G):
@@ -82,14 +85,14 @@ def test_endomorphism_counts_vs_oracle(spec, groups):
 
 @pytest.mark.parametrize("spec", sorted(AUTO_COUNTS))
 def test_automorphism_counts(spec, groups):
+    # The kernel criterion that hom-search counts |Aut| by, against the
+    # bijective rows of the endomorphism table.
     G = groups[spec]
-    auts = automorphisms(G).tolist()
-    assert len(auts) == AUTO_COUNTS[spec]
-    assert all(len(set(a)) == G.n for a in auts)
-    assert list(range(G.n)) in auts
-    # the bijective rows of the endomorphism table, in its order
-    assert auts == [e for e in endomorphisms(G).tolist()
-                    if len(set(e)) == G.n]
+    endos = endomorphisms(G)
+    mask = _bijective(endos)
+    assert mask.tolist() == [len(set(e)) == G.n for e in endos.tolist()]
+    assert int(mask.sum()) == AUTO_COUNTS[spec]
+    assert list(range(G.n)) in endos[mask].tolist()
 
 
 def test_endos_form_a_monoid(groups):
@@ -263,19 +266,27 @@ def test_agreement_counts(groups):
     C4 = groups["C4"]
     phi = np.array([[0, 1, 2, 3], [0, 1, 2, 3]])
     w = parse_word("x1*x2")
-    assert int(agreement_set(w, C4, phi).sum()) == 16
-    flags = agreement_set(w, C4, phi)
+    flags = agreement_flags(C4, phi, word_values(w, C4, 2))
     assert flags.all() and flags.shape == (16,)
+    assert np.array_equal(flags, agreement_set(w, C4, phi))
 
     S3 = groups["S3"]
     trivial = np.zeros((1, 6), dtype=np.int64)
-    assert int(agreement_set(parse_word("x1^2"), S3, trivial).sum()) == 4
+    w = parse_word("x1^2")
+    flags = agreement_flags(S3, trivial, word_values(w, S3, 1))
+    assert int(flags.sum()) == 4
+    assert np.array_equal(flags, agreement_set(w, S3, trivial))
+    # A hom that is not the identity on either coordinate.
+    phi = endomorphisms(S3)[[0, 1]]
+    w = parse_word("x2*x1^2")
+    flags = agreement_flags(S3, phi, word_values(w, S3, 2))
+    assert np.array_equal(flags, agreement_set(w, S3, phi))
 
 
 def test_agreement_arity_check(groups):
     phi = np.array([[0, 1]])
-    with pytest.raises(ValueError):
-        agreement_set(parse_word("x1*x2"), groups["C2"], phi)
+    with pytest.raises(ValueError, match="word uses x2"):
+        verify_theorem(parse_word("x1*x2"), groups["C2"], 1, hom=phi)
 
 
 def test_best_agreement_pinned(groups):
@@ -397,18 +408,9 @@ def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
 def test_hom_validation(groups):
     # A hom is a (d, n) component table with d >= 1.
     w, C2 = parse_word("x1"), groups["C2"]
-    with pytest.raises(ValueError):
-        agreement_set(w, C2, np.zeros((0, 2), dtype=np.int64))
-    with pytest.raises(ValueError):
-        agreement_set(w, C2, np.array([[0, 1, 0]]))
-    with pytest.raises(ValueError):
-        agreement_set(w, C2, np.array([0, 1]))
-
-
-def test_public_names_resolve():
-    # Every exported name exists, so a removed class cannot stay exported.
-    import wordmaplab
-
-    missing = [name for name in wordmaplab.__all__
-               if not hasattr(wordmaplab, name)]
-    assert missing == []
+    for bad in (np.zeros((0, 2), dtype=np.int64), np.array([[0, 1, 0]]),
+                np.array([0, 1])):
+        with pytest.raises(ValueError, match="hom must be"):
+            check_hom(C2, bad)
+        with pytest.raises(ValueError, match="hom must be"):
+            verify_theorem(w, C2, 1, hom=bad)

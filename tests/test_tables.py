@@ -1,12 +1,14 @@
 """The G^d tuple format of ``_tables`` against plain-loop oracles."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wordmaplab._tables import (coordinate_columns, inverse_index,
-                                product_index, tuple_index, word_values)
+from wordmaplab._tables import (coordinate_columns, product_index,
+                                tuple_index, word_values)
+from wordmaplab.census import translate_counts
 from wordmaplab.freeword import parse_word
 
 from conftest import loop_tuple_tables
@@ -48,7 +50,10 @@ def test_product_and_inverse_vs_loop_oracle(spec, d, groups):
     product, inverse = loop_tuple_tables(G, d)
     every = np.arange(G.n ** d)
     assert product_index(G, d, every, every).tolist() == product
-    assert inverse_index(G, d).tolist() == inverse
+    # The inversion that translate_counts runs on its members.
+    inverses = tuple_index(G.n, (G.inv[c]
+                                 for c in coordinate_columns(G.n, d, every)))
+    assert inverses.tolist() == inverse
     # Index subsets in any order, as the pair/triple step passes them.
     rng = np.random.default_rng(d)
     left = rng.permutation(every)[:5]
@@ -63,13 +68,19 @@ def test_product_index_holds_two_tables(groups):
     # would make it three.
     members = np.repeat(np.arange(27), 20)
     cells = len(members) ** 2
+    peak = traced_peak(lambda: product_index(groups["C3"], 3, members,
+                                             members))
+    assert peak < 2.5 * cells * 8, peak / (cells * 8)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees while ``call()`` runs."""
     tracemalloc.start()
     try:
-        product_index(groups["C3"], 3, members, members)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * cells * 8, peak / (cells * 8)
 
 
 @pytest.mark.parametrize("d", [8, 12, 16])
@@ -77,12 +88,16 @@ def test_tables_over_g_d_hold_one_column_at_a_time(d, groups):
     # The word table's gate counts one table of 2^d cells; building all d
     # coordinate columns at once would hold d + 1 of them.
     C2, table = groups["C2"], 8 * 2 ** d
-    for build_table in (lambda: word_values(parse_word("x1"), C2, d),
-                        lambda: inverse_index(C2, d)):
-        tracemalloc.start()
-        try:
-            build_table()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * table, peak / table
+    peak = traced_peak(lambda: word_values(parse_word("x1"), C2, d))
+    assert peak <= 6 * table, peak / table
+
+
+def test_translate_counts_inverts_members_only(groups):
+    # The step holds its two quotient histograms over G^d, two tables of
+    # 2^16 cells; inverting every tuple of G^d would add a third.
+    d, table = 16, 8 * 2 ** 16
+    flags = np.zeros(2 ** d, dtype=bool)
+    flags[::2 ** d // 64] = True
+    peak = traced_peak(lambda: translate_counts(flags, groups["C2"], d,
+                                                Fraction(1, 2)))
+    assert peak <= 2.5 * table, peak / table
