@@ -29,7 +29,7 @@ from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_ITER_BUDGET,
 from .freeword import Word, derived_word, parse_word
 from .group import GroupTable, commuting_probability, power_table
 from .homset import agreement_flags, best_agreement, check_hom
-from .rng import derive_seed, randbelow_block
+from .rng import randbelow_block, randbelow_chunks
 
 MIN_SAMPLES = 1_000
 
@@ -182,11 +182,8 @@ def estimate_solutions(
     mul = G.mul.ravel()
     quot = G.mul[G.inv].ravel()
     hits = 0
-    for lo in range(0, samples, CHUNK):
-        m = min(CHUNK, samples - lo)
-        draws = randbelow_block(derive_seed(seed, lo // CHUNK), n, m * 3 * d)
-        # Row j holds coordinate j of every sample, contiguously.
-        cols = draws.reshape(m, 3 * d).T.copy()
+    # Row j of a chunk holds coordinate j of every sample.
+    for cols in randbelow_chunks(seed, n, 3 * d, samples, CHUNK):
         s, t, u = cols[:d], cols[d:2 * d], cols[2 * d:]
         # s^-1 t u, one coordinate per row.
         stu = quot[s * n + t]

@@ -12,6 +12,7 @@ f1(rho) |X|^2 ordered index pairs (diagonal included) have
 from __future__ import annotations
 
 import io
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,10 +26,6 @@ from .rng import SplitMix64, derive_seed, randbelow_rows
 
 class InfeasibleParametersError(ValueError):
     """Requested family parameters violate the hypotheses."""
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ def verify_lemma(inst: FamilyInstance) -> LemmaReport:
     thr = f2(rho) * inst.x_size
     # Overlaps are integers, so one reaches thr exactly when it reaches
     # ceil(thr).
-    qualifying = _pairs_reaching(inst.sets, _ceil_frac(thr))
+    qualifying = _pairs_reaching(inst.sets, math.ceil(thr))
     return LemmaReport(
         label=inst.label,
         x_size=inst.x_size,
@@ -140,7 +137,7 @@ def random_family(
         raise InfeasibleParametersError(
             f"i_size {i_size} below rho |X| = {r * x_size}"
         )
-    k = _ceil_frac(r * x_size)
+    k = math.ceil(r * x_size)
     # One permutation of X per set, in a flat (i_size, |X|) table; swap[j]
     # holds the flat positions that step j exchanges with column j.
     offsets = randbelow_rows(seed, range(x_size, x_size - k, -1), i_size)
@@ -175,7 +172,7 @@ def fuzz_instances(count: int, seed: int) -> Iterator[FamilyInstance]:
     for k in range(count):
         rho = FUZZ_RHOS[rng.randbelow(len(FUZZ_RHOS))]
         x_size = FUZZ_X_SIZES[rng.randbelow(len(FUZZ_X_SIZES))]
-        i_min = _ceil_frac(rho * x_size)
+        i_min = math.ceil(rho * x_size)
         i_size = i_min + rng.randbelow(x_size - i_min + 1)
         yield random_family(x_size, i_size, rho, derive_seed(seed, k))
 

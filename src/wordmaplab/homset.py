@@ -13,7 +13,9 @@ enumerates the whole hom set.  A single hom is its (d, n) component table.
 
 Agreement counts compare a homomorphism with the evaluation map of a word w
 over G^d; ``best_agreement`` maximises the agreement proportion over the full
-hom set, breaking ties by enumeration order.
+hom set, breaking ties by enumeration order.  It gathers every hom's values
+over G^d, except for a word x1^p x2^q or x2^q x1^p at d = 2, which it
+scores from two fiber histograms (``_separated_counts``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import _tables
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
                      check_budget, check_power, row_blocks)
 from .freeword import Word
-from .group import GroupTable, greedy_generators
+from .group import GroupTable, greedy_generators, power_table
 
 
 def _respects_generators(G: GroupTable, gens: list[int],
@@ -167,6 +169,36 @@ def agreement_flags(G: GroupTable, phi: np.ndarray,
     return _hom_values(G.mul, phi[None])[0] == wv
 
 
+def _separated_counts(w: Word, G: GroupTable, endos: np.ndarray,
+                      tuples: np.ndarray) -> np.ndarray:
+    """Agreement counts over G^2 of the homs ``endos[tuples]`` with a word
+    x1^p x2^q or x2^q x1^p, where p or q may be 0.
+
+    The images of a hom (phi_1, phi_2) commute, so it agrees with x1^p x2^q
+    at (a, b) when a^p b^q = phi_1(a) phi_2(b), that is, when
+    phi_1(a)^-1 a^p = phi_2(b) b^-q.  Its count is therefore the dot product
+    of K[phi_1] and H[phi_2], where K[psi](y) = #{a : psi(a)^-1 a^p = y} and
+    H[psi](y) = #{b : psi(b) b^-q = y} are built for every endomorphism psi
+    at once, one bincount each.  Inverting the equation maps the agreement
+    set of x2^q x1^p at (a, b) onto that of x1^p x2^q at (a^-1, b^-1), so
+    both words have the same counts.
+    """
+    n, k = G.n, len(endos)
+    exps = dict(w.syllables)
+    offsets = np.arange(0, k * n, n, dtype=np.int64)[:, None]
+
+    def histograms(keys: np.ndarray) -> np.ndarray:
+        keys += offsets
+        return np.bincount(keys.ravel(), minlength=k * n).reshape(k, n)
+
+    K = histograms(G.mul[G.inv[endos], power_table(G, exps.get(1, 0))])
+    H = histograms(G.mul[endos, power_table(G, -exps.get(2, 0))])
+    return np.concatenate([
+        np.einsum("hy,hy->h", K[tuples[lo:hi, 0]], H[tuples[lo:hi, 1]])
+        for lo, hi in row_blocks(len(tuples), n)
+    ])
+
+
 def best_agreement(
     w: Word, G: GroupTable, d: int,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
@@ -178,10 +210,13 @@ def best_agreement(
     the (d, n) component table of the earliest hom that attains it.
 
     Ties go to the earliest hom in enumeration order, so the witness is
-    deterministic.  Scoring compares every hom with w on all of G^d, and
-    that many cells must fit ``table_budget``.  ``wv`` is
-    ``_tables.word_values(w, G, d)`` and ``homs`` is ``homs_power(G, d,
-    hom_budget)`` when the caller already has them.
+    deterministic.  At d = 2 a word with at most one syllable per variable
+    is scored by ``_separated_counts``, which is gated for its two (k, n)
+    histograms and n cells per hom; any other word is compared with every
+    hom on all of G^d, n^d cells per hom.  Either route's cells must fit
+    ``table_budget``.  ``wv`` is ``_tables.word_values(w, G, d)`` and
+    ``homs`` is ``homs_power(G, d, hom_budget)`` when the caller already
+    has them.
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
@@ -189,12 +224,17 @@ def best_agreement(
         homs = homs_power(G, d, hom_budget)
     endos, tuples = homs
     size = G.n ** d
-    check_budget(len(tuples) * size, table_budget, "hom scoring")
-    if wv is None:
-        wv = _tables.word_values(w, G, d, table_budget)
-    counts = np.concatenate([
-        (_hom_values(G.mul, endos[tuples[lo:hi]]) == wv).sum(axis=1)
-        for lo, hi in row_blocks(len(tuples), size)
-    ])
+    if d == 2 and len(w.syllables) <= 2:
+        check_budget((len(tuples) + 2 * len(endos)) * G.n, table_budget,
+                     "hom scoring")
+        counts = _separated_counts(w, G, endos, tuples)
+    else:
+        check_budget(len(tuples) * size, table_budget, "hom scoring")
+        if wv is None:
+            wv = _tables.word_values(w, G, d, table_budget)
+        counts = np.concatenate([
+            (_hom_values(G.mul, endos[tuples[lo:hi]]) == wv).sum(axis=1)
+            for lo, hi in row_blocks(len(tuples), size)
+        ])
     best = int(np.argmax(counts))  # argmax returns the first of any ties
     return Fraction(int(counts[best]), size), endos[tuples[best]]

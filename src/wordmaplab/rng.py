@@ -11,6 +11,8 @@ reproducible across platforms.  Nothing here depends on the stdlib
 raw blocks, and ``randbelow_rows`` (a cycle of moduli, as partial
 Fisher-Yates needs) and ``randbelow_block`` (one modulus) return exactly
 what the scalar ``randbelow`` calls would, from one vectorized draw loop.
+``randbelow_chunks`` yields the same values as one ``randbelow_block`` per
+chunk of a sampled census, coordinate-major, from buffers it reuses.
 """
 
 from __future__ import annotations
@@ -55,16 +57,10 @@ class SplitMix64:
                 return v % n
 
 
-def u64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Counter positions start..start+count-1 of the stream, vectorized.
-
-    The mix runs in place on the counter array, with one scratch array for
-    the shifts.
-    """
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(seed)
-    t = z >> np.uint64(30)
+def _mix_in_place(z: np.ndarray, t: np.ndarray) -> None:
+    """The SplitMix64 finalizer ``mix64`` applied to every entry of the
+    uint64 array ``z``, in place; ``t``, of z's shape, holds the shifts."""
+    np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= np.uint64(0xBF58476D1CE4E5B9)
     np.right_shift(z, np.uint64(27), out=t)
@@ -72,6 +68,14 @@ def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     np.right_shift(z, np.uint64(31), out=t)
     z ^= t
+
+
+def u64_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Counter positions start..start+count-1 of the stream, vectorized."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    _mix_in_place(z, np.empty_like(z))
     return z
 
 
@@ -123,3 +127,44 @@ def randbelow_block(seed: int, n: int, count: int) -> np.ndarray:
     """The first ``count`` values of ``SplitMix64(seed).randbelow(n)``, as a
     flat int64 array: ``randbelow_rows`` with the single modulus n."""
     return randbelow_rows(seed, [n], count).reshape(-1)
+
+
+def randbelow_chunks(seed: int, n: int, width: int, total: int,
+                     chunk: int):
+    """For each chunk i of ``total`` rows (``chunk`` rows each, the last
+    possibly fewer), the (width, m) int64 array of m rows' draws: column r
+    holds ``randbelow_block(derive_seed(seed, i), n, m * width)[r * width:
+    (r + 1) * width]``.
+
+    The counter offsets are laid out coordinate-major once, and each chunk
+    is mixed and reduced in two buffers reused from chunk to chunk, so a
+    yielded array is valid only until the next one is drawn.  A chunk with
+    any raw value above the rejection limit, which is rare for n far below
+    2**64, is redrawn by ``randbelow_block``.
+    """
+    if not 1 <= n <= 1 << 63:
+        raise ValueError("randbelow supports moduli in [1, 2**63]")
+    top = np.uint64(MASK64 - (MASK64 + 1) % n)
+    step = np.uint64(n)
+    # offsets[j, r] = (r * width + j + 1) * GOLDEN: the counter of draw j of
+    # row r, less the seed.
+    rows = min(chunk, total)
+    offsets = np.arange(1, rows * width + 1, dtype=np.uint64)
+    offsets *= np.uint64(GOLDEN)
+    offsets = offsets.reshape(rows, width).T.copy()
+    z = np.empty_like(offsets)
+    t = np.empty_like(offsets)
+    for i, lo in enumerate(range(0, total, chunk)):
+        m = min(chunk, total - lo)
+        zi, ti = z[:, :m], t[:, :m]
+        child = derive_seed(seed, i)
+        np.add(offsets[:, :m], np.uint64(child), out=zi)
+        _mix_in_place(zi, ti)
+        if zi.max() > top:
+            yield randbelow_block(child, n, m * width).reshape(m, width).T
+            continue
+        # v - (v // n) * n is v % n, and faster than numpy's uint64 %.
+        np.floor_divide(zi, step, out=ti)
+        ti *= step
+        np.subtract(zi, ti, out=ti)
+        yield ti.view(np.int64)

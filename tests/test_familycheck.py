@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from wordmaplab.familycheck import (
     FUZZ_X_SIZES,
     FamilyInstance,
     InfeasibleParametersError,
-    _ceil_frac,
     _pairs_reaching,
     adversarial_families,
     fuzz_instances,
@@ -167,13 +167,13 @@ def test_random_family_deterministic():
 def test_random_family_matches_scalar_oracle():
     for k, inst in enumerate(fuzz_instances(300, seed=0)):
         want = family_oracle(inst.x_size, inst.i_size,
-                             _ceil_frac(inst.rho * inst.x_size),
+                             math.ceil(inst.rho * inst.x_size),
                              derive_seed(0, k))
         assert np.array_equal(inst.sets, want), inst.label
     # Both ends of the fuzz range of family sizes, on every grid corner.
     for x_size in FUZZ_X_SIZES:
         for rho in FUZZ_RHOS:
-            k = _ceil_frac(rho * x_size)
+            k = math.ceil(rho * x_size)
             for i_size in sorted({k, x_size}):
                 inst = random_family(x_size, i_size, rho, seed=x_size)
                 want = family_oracle(x_size, i_size, k, x_size)
@@ -259,7 +259,7 @@ def test_load_family_errors(tmp_path):
 def families(draw):
     x_size = draw(st.integers(1, 24))
     rho = Fraction(1, draw(st.integers(1, 6)))
-    k = _ceil_frac(rho * x_size)
+    k = math.ceil(rho * x_size)
     rows = draw(st.lists(st.sets(st.integers(0, x_size - 1), min_size=k),
                          min_size=max(k, 1), max_size=k + 6))
     sets = np.zeros((len(rows), x_size), dtype=bool)

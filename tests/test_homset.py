@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wordmaplab import cli, errors
+from wordmaplab import cli, errors, homset
 from wordmaplab._tables import word_values
 from wordmaplab.census import verify_theorem
 from wordmaplab.errors import BudgetExceededError
@@ -16,6 +16,8 @@ from wordmaplab.group import (build, closure, direct_product,
                               greedy_generators, parse_cycles)
 from wordmaplab.homset import (
     _bijective,
+    _hom_values,
+    _separated_counts,
     agreement_flags,
     best_agreement,
     check_hom,
@@ -23,8 +25,8 @@ from wordmaplab.homset import (
     homs_power,
 )
 
-from conftest import (agreement_set, brute_force_endos, expressions,
-                      hom_value_table, power_agreement_profile)
+from conftest import (BATTERY_SPECS, agreement_set, brute_force_endos,
+                      expressions, hom_value_table, power_agreement_profile)
 
 
 def assert_walk(G):
@@ -316,6 +318,42 @@ def test_best_agreement_relabeling_invariant():
         assert best_agreement(w, a, 1)[0] == best_agreement(w, b, 1)[0]
 
 
+SEPARATED = ("x1*x2", "x2*x1", "x1^2*x2^-1", "x2^3*x1^-2", "x1^2", "x2^-1",
+             "1")
+
+
+@pytest.mark.parametrize("spec", BATTERY_SPECS + ["D8"])
+def test_separated_counts_vs_gather(spec, extended_groups):
+    # At d = 2 the fiber-histogram counts of every hom equal the gathered
+    # ones, for words in either variable order and with a missing variable.
+    G = extended_groups[spec]
+    endos, tuples = homs_power(G, 2)
+    gathered = _hom_values(G.mul, endos[tuples])
+    for text in SEPARATED:
+        w = parse_word(text)
+        want = (gathered == word_values(w, G, 2)).sum(axis=1)
+        assert np.array_equal(_separated_counts(w, G, endos, tuples), want)
+
+
+def test_route_choice(groups, monkeypatch):
+    # Separated words at d = 2 take the histogram route; the commutator,
+    # and any word at d != 2, take the gather route.
+    calls = []
+
+    def counted(w, *args):
+        calls.append(str(w))
+        return _separated_counts(w, *args)
+
+    monkeypatch.setattr(homset, "_separated_counts", counted)
+    G = groups["S3"]
+    best_agreement(parse_word("x1*x2*x1^-1*x2^-1"), G, 2)
+    best_agreement(parse_word("x1*x2"), G, 3)
+    best_agreement(parse_word("x1^2"), G, 1)
+    assert calls == []
+    best_agreement(parse_word("x2*x1"), G, 2)
+    assert calls == ["x2*x1"]
+
+
 # All six verified against the all-functions oracle before pinning.
 PROFILES_S3 = {
     (-1, False): Fraction(2, 3), (-1, True): Fraction(2, 3),
@@ -372,17 +410,31 @@ def test_scoring_budget(groups, capsys):
         "budget exceeded: hom scoring needs 60, budget 59\n"
 
 
+def test_separated_scoring_budget(capsys):
+    # D20 (order 40) has 484 endomorphisms and 5296 homs at d = 2, so the
+    # histogram route holds (5296 + 2 * 484) * 40 = 250560 cells.
+    argv = ["hom-search", "--group", "D20", "--word", "x1*x2", "--d", "2",
+            "--budget-table"]
+    assert cli.run(argv + ["250560"]) == 0
+    capsys.readouterr()
+    assert cli.run(argv + ["250559"]) == 3
+    assert capsys.readouterr().err == \
+        "budget exceeded: hom scoring needs 250560, budget 250559\n"
+
+
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
 def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
     # Blocks of 1 and 7 rows in each blocked loop give the same tables as
     # the default blocks.  A row holds n cells in the candidate search, k
-    # (endomorphisms) in the pair table, n^2 in the d = 2 scoring and d in
-    # the commuting-pair check of a hom file.
+    # (endomorphisms) in the pair table, n^2 in the d = 2 gather scoring of
+    # the commutator, n in the histogram scoring of x1^2*x2 and d in the
+    # commuting-pair check of a hom file.
     G = groups[spec]
-    w = parse_word("x1^2*x2")
+    cases = [(G.n ** 2, parse_word("x1*x2*x1^-1*x2^-1")),
+             (G.n, parse_word("x1^2*x2"))]
     endos = endomorphisms(G)
     homs = homs_power(G, 2)
-    rho, phi = best_agreement(w, G, 2)
+    best = [best_agreement(w, G, 2) for _, w in cases]
     # Components 1 and 2 are the identity of a nonabelian group; component
     # 0 is trivial, so only the last pair of the check fails.
     hom = tmp_path / "hom.json"
@@ -396,9 +448,10 @@ def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(errors, "BLOCK_CELLS", rows * len(endos))
         got = homs_power(G, 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, homs))
-        monkeypatch.setattr(errors, "BLOCK_CELLS", rows * G.n ** 2)
-        got_rho, got_phi = best_agreement(w, G, 2, homs=homs)
-        assert got_rho == rho and np.array_equal(got_phi, phi)
+        for (cells, w), (rho, phi) in zip(cases, best):
+            monkeypatch.setattr(errors, "BLOCK_CELLS", rows * cells)
+            got_rho, got_phi = best_agreement(w, G, 2, homs=homs)
+            assert got_rho == rho and np.array_equal(got_phi, phi)
         monkeypatch.setattr(errors, "BLOCK_CELLS", rows * 3)
         assert cli.run(argv) == 2
         assert capsys.readouterr().err == \

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wordmaplab import rng
 from wordmaplab.rng import (
     GOLDEN,
     MASK64,
@@ -8,6 +9,7 @@ from wordmaplab.rng import (
     derive_seed,
     mix64,
     randbelow_block,
+    randbelow_chunks,
     randbelow_rows,
     u64_block,
 )
@@ -101,6 +103,35 @@ def test_randbelow_rows_forced_rejection():
     # Modulus 8 divides 2**64 and accepts the same raw value.
     seed = seed_with_raw(MASK64, 2)
     assert randbelow_rows(seed, moduli, 1)[0, 2] == MASK64 % 8
+
+
+def test_randbelow_chunks_match_blocks(monkeypatch):
+    # Chunk i is randbelow_block(derive_seed(seed, i), n, m * width) laid
+    # out coordinate-major, the last chunk partial (or the only one).
+    # 3 * 2**61 rejects a quarter of all raw values, so its chunks take the
+    # fallback; the yielded buffers are reused, so each chunk is copied as
+    # it comes.
+    fallbacks = []
+
+    def counted(seed, n, count):
+        fallbacks.append(n)
+        return randbelow_block(seed, n, count)
+
+    monkeypatch.setattr(rng, "randbelow_block", counted)
+    for n, width, total, chunk in ((24, 6, 1000, 256), (3 * 2**61, 6, 100, 16),
+                                   (2**63, 3, 50, 8), (1, 2, 10, 4),
+                                   (7, 9, 2 * 64 + 5, 64), (24, 6, 5, 16)):
+        for seed in (0, 1, 12345, MASK64):
+            got = [c.copy() for c in
+                   randbelow_chunks(seed, n, width, total, chunk)]
+            sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
+            want = [randbelow_block(derive_seed(seed, i), n, m * width)
+                    .reshape(m, width).T for i, m in enumerate(sizes)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == np.int64 and np.array_equal(a, b), (n, seed)
+    assert fallbacks.count(3 * 2**61) == 4 * 7
+    assert set(fallbacks) == {3 * 2**61}
 
 
 def test_sample_without_replacement():
