@@ -57,8 +57,6 @@ def word_values(w: Word, G: GroupTable, d: int,
     """Evaluate w on every tuple of G^d; returns an array of n^d element ids."""
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
-    if d < 0:
-        raise ValueError("d must be >= 0")
     size = check_power(G.n, d, budget, "word table")
     return evaluate_columns(w, G, lambda i: coordinate_column(G.n, d, i), size)
 

@@ -29,7 +29,7 @@ from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_ITER_BUDGET,
 from .freeword import Word, derived_word, parse_word
 from .group import GroupTable, commuting_probability, power_table
 from .homset import agreement_flags, best_agreement, check_hom
-from .rng import randbelow_block, randbelow_chunks
+from .rng import randbelow_chunks, randbelow_rows
 
 MIN_SAMPLES = 1_000
 
@@ -427,7 +427,7 @@ def verify_commuting_corollary(
     bound = commuting_bound(rho)
     m = EQUATION_SAMPLES
     # Columns 1 to 6 hold s1, s2, t1, t2, u1, u2.
-    cols = randbelow_block(seed, G.n, m * 6).reshape(m, 6).T
+    cols = randbelow_rows(seed, [G.n] * 6, m).T
     lhs, rhs, v = (
         _tables.evaluate_columns(word, G, cols.__getitem__, m)
         for word in (parse_word("x1*x2*x1^-1"),

@@ -7,12 +7,14 @@ generation produce identical streams, which keeps sampled results bit-for-bit
 reproducible across platforms.  Nothing here depends on the stdlib
 ``random`` module or on floating point.
 
-``SplitMix64`` walks the stream one value at a time; ``u64_block`` draws
-raw blocks, and ``randbelow_rows`` (a cycle of moduli, as partial
-Fisher-Yates needs) and ``randbelow_block`` (one modulus) return exactly
-what the scalar ``randbelow`` calls would, from one vectorized draw loop.
-``randbelow_chunks`` yields the same values as one ``randbelow_block`` per
-chunk of a sampled census, coordinate-major, from buffers it reuses.
+``SplitMix64`` walks the stream one value at a time and is the definition
+of every draw.  ``u64_block`` draws raw values in bulk.  The vectorized
+samplers, ``randbelow_rows`` (a cycle of moduli, as partial Fisher-Yates
+needs) and ``randbelow_chunks`` (one chunk of a sampled census at a time),
+share one rule: a block with no raw value above its modulus' rejection
+limit is reduced as drawn, and any other block is the scalar walk itself.
+A raw value is rejected with probability below m / 2**64 for modulus m, so
+the walk is all but never taken for the moduli in use.
 """
 
 from __future__ import annotations
@@ -70,9 +72,19 @@ def _mix_in_place(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
-def u64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Counter positions start..start+count-1 of the stream, vectorized."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def _reduce(raw: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
+    """``raw % steps`` into the uint64 array ``out``, returned as int64.
+    ``v - (v // m) * m`` is exact and about three times faster than numpy's
+    uint64 ``%``."""
+    np.floor_divide(raw, steps, out=out)
+    out *= steps
+    np.subtract(raw, out, out=out)
+    return out.view(np.int64)
+
+
+def u64_block(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` values of the stream, vectorized."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(GOLDEN)
     z += np.uint64(seed)
     _mix_in_place(z, np.empty_like(z))
@@ -85,62 +97,34 @@ def randbelow_rows(seed: int, moduli, rows: int) -> np.ndarray:
 
     Entry (r, j) is what the (r*k + j)-th of consecutive
     ``SplitMix64(seed).randbelow`` calls returns when call number i is made
-    with ``moduli[i % k]``.  Each modulus has its own rejection limit.  A
-    block whose largest raw value is below every limit, which is almost
-    every block, is reduced as drawn.  Otherwise the first value above the
-    limit of the modulus it meets is dropped, every later value moves on to
-    the next modulus and a new draw fills the last entry, exactly as in the
-    scalar walk.  Each rejection costs a pass over the rest of the block,
-    which is cheap for moduli far below 2**64: a draw is rejected with
-    probability below m / 2**64.  The reduction ``v - (v // m) * m`` is
-    exact, equals ``v % m``, and is about three times faster than numpy's
-    uint64 ``%``.
+    with ``moduli[i % k]``: the block as drawn and reduced, or the scalar
+    walk itself if any raw value is above its modulus' rejection limit.
     """
     if not all(1 <= m <= 1 << 63 for m in moduli):
         raise ValueError("randbelow supports moduli in [1, 2**63]")
-    steps = np.array(moduli, dtype=np.uint64)
-    k = len(steps)
+    k = len(moduli)
     # Largest accepted raw value per modulus; 2**64 - 1 when the modulus
     # divides 2**64 and every value is accepted.
     top = np.array([MASK64 - (MASK64 + 1) % m for m in moduli],
                    dtype=np.uint64)
-    total = rows * k
-    raw = u64_block(seed, 0, total)
-    got = 0      # raw[:got] is accepted; raw[got:] is drawn but unchecked
-    pos = total  # next counter position
-    while got < total and raw[got:].max() > top.min():
-        over = np.flatnonzero(raw[got:] > top[np.arange(got, total) % k])
-        if not over.size:
-            break
-        got += over[0]
-        raw[got:-1] = raw[got + 1:]
-        raw[-1] = u64_block(seed, pos, 1)[0]
-        pos += 1
-    out = np.empty((rows, k), dtype=np.uint64)
-    np.floor_divide(raw.reshape(rows, k), steps, out=out)
-    out *= steps
-    np.subtract(raw.reshape(rows, k), out, out=out)
-    return out.view(np.int64)
-
-
-def randbelow_block(seed: int, n: int, count: int) -> np.ndarray:
-    """The first ``count`` values of ``SplitMix64(seed).randbelow(n)``, as a
-    flat int64 array: ``randbelow_rows`` with the single modulus n."""
-    return randbelow_rows(seed, [n], count).reshape(-1)
+    raw = u64_block(seed, rows * k).reshape(rows, k)
+    if (raw > top).any():
+        gen = SplitMix64(seed)
+        walk = [[gen.randbelow(m) for m in moduli] for _ in range(rows)]
+        return np.array(walk, dtype=np.int64).reshape(rows, k)
+    return _reduce(raw, np.array(moduli, dtype=np.uint64),
+                   np.empty_like(raw))
 
 
 def randbelow_chunks(seed: int, n: int, width: int, total: int,
                      chunk: int):
     """For each chunk i of ``total`` rows (``chunk`` rows each, the last
-    possibly fewer), the (width, m) int64 array of m rows' draws: column r
-    holds ``randbelow_block(derive_seed(seed, i), n, m * width)[r * width:
-    (r + 1) * width]``.
+    possibly fewer), the (width, m) int64 array of m rows' draws:
+    ``randbelow_rows(derive_seed(seed, i), [n] * width, m).T``.
 
     The counter offsets are laid out coordinate-major once, and each chunk
     is mixed and reduced in two buffers reused from chunk to chunk, so a
-    yielded array is valid only until the next one is drawn.  A chunk with
-    any raw value above the rejection limit, which is rare for n far below
-    2**64, is redrawn by ``randbelow_block``.
+    yielded array is valid only until the next one is drawn.
     """
     if not 1 <= n <= 1 << 63:
         raise ValueError("randbelow supports moduli in [1, 2**63]")
@@ -161,10 +145,6 @@ def randbelow_chunks(seed: int, n: int, width: int, total: int,
         np.add(offsets[:, :m], np.uint64(child), out=zi)
         _mix_in_place(zi, ti)
         if zi.max() > top:
-            yield randbelow_block(child, n, m * width).reshape(m, width).T
-            continue
-        # v - (v // n) * n is v % n, and faster than numpy's uint64 %.
-        np.floor_divide(zi, step, out=ti)
-        ti *= step
-        np.subtract(zi, ti, out=ti)
-        yield ti.view(np.int64)
+            yield randbelow_rows(child, [n] * width, m).T
+        else:
+            yield _reduce(zi, step, ti)

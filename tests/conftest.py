@@ -69,6 +69,19 @@ def element_power(G, g: int, e: int) -> int:
     return acc
 
 
+def element_orders(G) -> np.ndarray:
+    """Order of every element, by stepping all powers g^k at once."""
+    orders = np.ones(G.n, dtype=np.int64)
+    live = np.flatnonzero(np.arange(G.n))
+    acc = live.copy()  # acc[i] = live[i]^orders[live[i]]
+    while live.size:
+        acc = G.mul[acc, live]
+        orders[live] += 1
+        keep = acc != 0
+        live, acc = live[keep], acc[keep]
+    return orders
+
+
 def is_abelian(G) -> bool:
     return bool((G.mul == G.mul.T).all())
 

@@ -17,7 +17,6 @@ from wordmaplab.group import (
     cyclic,
     dihedral,
     direct_product,
-    element_orders,
     parse_cycles,
     power_table,
     quaternion,
@@ -25,8 +24,8 @@ from wordmaplab.group import (
     validate_table,
 )
 
-from conftest import (EXTENDED_SPECS, conjugacy_classes, element_power,
-                      is_abelian)
+from conftest import (EXTENDED_SPECS, conjugacy_classes, element_orders,
+                      element_power, is_abelian)
 
 ORDERS = {
     "C1": 1, "C2": 2, "C6": 6, "C8": 8, "C2xC2": 4, "C2xC4": 8,

@@ -21,6 +21,14 @@ REPORT_DIGESTS = [
     (["verify-theorem", "--group", "Q8", "--word", "x1*x2", "--d", "2",
       "--samples", "10000", "--seed", "7"],
      "6dfca65889f3b8c4cbc7b30c405730037ff6d9e799c8036aad1625885e85e60e"),
+    # 9-wide estimator chunks from the top seed.
+    (["verify-theorem", "--group", "S3", "--word", "x1*x2^-1*x3^2",
+      "--d", "3", "--samples", "50000", "--seed", "18446744073709551615"],
+     "f986891b0a98f2e3ace6c74d60adfd7161bd5b181049bdff9b3e4b172db3fd78"),
+    # The last estimator chunk holds one sample.
+    (["verify-theorem", "--group", "A4", "--word", "x1^2*x2^3", "--d", "2",
+      "--samples", "8193", "--seed", "1"],
+     "1416eb5c75b8d5e9bcb642de2fc427d1eef5dfaf82884eb6a5637919204b06b9"),
     (["verify-theorem", "--group", "S1", "--word", "x1^2"],
      "949299586cf1857cdc7abadb34dd602d70d69b243bb46632289ee8343df660ad"),
     (["hom-search", "--group", "perm:(1 2 3)(4 5),(1 4)", "--word", "x1^2"],

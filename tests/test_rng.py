@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from wordmaplab import rng
+from wordmaplab import build, rng
+from wordmaplab.census import estimate_solutions, verify_commuting_corollary
+from wordmaplab.familycheck import fuzz_instances
+from wordmaplab.freeword import parse_word
 from wordmaplab.rng import (
     GOLDEN,
     MASK64,
     SplitMix64,
     derive_seed,
     mix64,
-    randbelow_block,
     randbelow_chunks,
     randbelow_rows,
     u64_block,
@@ -29,10 +31,10 @@ def test_scalar_stream_matches_block():
     seed = 0xDEADBEEF
     gen = SplitMix64(seed)
     scalar = [gen.next_u64() for _ in range(1000)]
-    block = u64_block(seed, 0, 1000)
+    block = u64_block(seed, 1000)
     assert scalar == list(block)
-    # Arbitrary offsets address the same counter stream.
-    assert list(u64_block(seed, 17, 40)) == scalar[17:57]
+    # A shorter block is a prefix of the same counter stream.
+    assert list(u64_block(seed, 40)) == scalar[:40]
 
 
 def test_randbelow_matches_block():
@@ -40,17 +42,17 @@ def test_randbelow_matches_block():
     for n in (1, 2, 6, 7, 256, 10**9, 2**32, 2**62 + 1, 2**63):
         gen = SplitMix64(42)
         scalar = [gen.randbelow(n) for _ in range(500)]
-        block = randbelow_block(42, n, 500)
+        block = randbelow_rows(42, [n], 500).reshape(-1)
         assert scalar == list(block)
         assert all(0 <= v < n for v in scalar)
 
 
 def test_randbelow_power_of_two_modulus():
     # n = 2**63 divides 2**64, so nothing is ever rejected.
-    vals = randbelow_block(7, 2**63, 10)
-    assert list(vals) == [int(v) % 2**63 for v in u64_block(7, 0, 10)]
+    vals = randbelow_rows(7, [2**63], 10).reshape(-1)
+    assert list(vals) == [int(v) % 2**63 for v in u64_block(7, 10)]
     with pytest.raises(ValueError):
-        randbelow_block(7, 2**64, 10)
+        randbelow_rows(7, [2**64], 10)
 
 
 def test_derive_seed_decorrelates():
@@ -64,17 +66,18 @@ def test_unmix64_inverts_mix64():
         assert unmix64(mix64(z)) == z
         assert mix64(unmix64(z)) == z
     seed = seed_with_raw(MASK64, 5)
-    assert u64_block(seed, 5, 1)[0] == MASK64
+    assert u64_block(seed, 6)[5] == MASK64
 
 
 def test_randbelow_forced_rejection():
     # The raw draw at ``position`` is 2**64 - 1, above the limit 2**64 - 16
-    # for n=24, so the block path must take its rejection branch.
+    # for n=24, so the block is rejected and the scalar walk returned.
     for position in (0, 1, 4095, 20_000):
         seed = seed_with_raw(MASK64, position)
         gen = SplitMix64(seed)
         scalar = [gen.randbelow(24) for _ in range(30_000)]
-        assert list(randbelow_block(seed, 24, 30_000)) == scalar, position
+        assert list(randbelow_rows(seed, [24], 30_000).reshape(-1)) == \
+            scalar, position
 
 
 def test_randbelow_rows_matches_scalar():
@@ -105,19 +108,51 @@ def test_randbelow_rows_forced_rejection():
     assert randbelow_rows(seed, moduli, 1)[0, 2] == MASK64 % 8
 
 
+def test_randbelow_rows_layout():
+    # w draws below n per row over m rows are the first m * w draws below n,
+    # row by row, also when the block holds a rejected raw value (position
+    # p < m * w).  Both callers of the (w, m) coordinate-major layout,
+    # verify_commuting_corollary and randbelow_chunks' fallback, rely on it.
+    for p in (0, 1, 5, 99, 4095):
+        seed = seed_with_raw(MASK64, p)
+        for n, w, m in ((24, 6, 1000), (60, 9, 20), (2000, 6, 700),
+                        (3 * 2**61, 6, 30), (7, 1, 5000)):
+            flat = randbelow_rows(seed, [n], m * w)
+            assert np.array_equal(randbelow_rows(seed, [n] * w, m),
+                                  flat.reshape(m, w)), (p, n, w, m)
+
+
+def test_production_draws_stay_vectorized(monkeypatch):
+    # The scalar walk is the result only for a block holding a rejected raw
+    # value; no draw of the fuzz grid, the estimator or the commuting check
+    # at these seeds holds one.  familycheck binds its own SplitMix64 for
+    # fuzz_instances' scalar stream, which this patch leaves alone.
+    def walk(seed):
+        raise AssertionError(f"scalar walk taken for seed {seed}")
+
+    monkeypatch.setattr(rng, "SplitMix64", walk)
+    for seed in (0, 7, MASK64):
+        assert len(list(fuzz_instances(200, seed))) == 200
+    S4 = build("S4")
+    for seed in (0, 1, MASK64):
+        assert estimate_solutions(parse_word("x1*x2"), S4, 10**5,
+                                  seed).samples == 10**5
+        assert verify_commuting_corollary(S4, seed=seed).equation_consistent
+
+
 def test_randbelow_chunks_match_blocks(monkeypatch):
-    # Chunk i is randbelow_block(derive_seed(seed, i), n, m * width) laid
-    # out coordinate-major, the last chunk partial (or the only one).
-    # 3 * 2**61 rejects a quarter of all raw values, so its chunks take the
-    # fallback; the yielded buffers are reused, so each chunk is copied as
-    # it comes.
+    # Chunk i is the first m * width draws below n of the stream seeded
+    # with derive_seed(seed, i), laid out coordinate-major, the last chunk
+    # partial (or the only one).  3 * 2**61 rejects a quarter of all raw
+    # values, so its chunks fall back to randbelow_rows; the yielded buffers
+    # are reused, so each chunk is copied as it comes.
     fallbacks = []
 
-    def counted(seed, n, count):
-        fallbacks.append(n)
-        return randbelow_block(seed, n, count)
+    def counted(seed, moduli, rows):
+        fallbacks.append(moduli[0])
+        return randbelow_rows(seed, moduli, rows)
 
-    monkeypatch.setattr(rng, "randbelow_block", counted)
+    monkeypatch.setattr(rng, "randbelow_rows", counted)
     for n, width, total, chunk in ((24, 6, 1000, 256), (3 * 2**61, 6, 100, 16),
                                    (2**63, 3, 50, 8), (1, 2, 10, 4),
                                    (7, 9, 2 * 64 + 5, 64), (24, 6, 5, 16)):
@@ -125,7 +160,7 @@ def test_randbelow_chunks_match_blocks(monkeypatch):
             got = [c.copy() for c in
                    randbelow_chunks(seed, n, width, total, chunk)]
             sizes = [min(chunk, total - lo) for lo in range(0, total, chunk)]
-            want = [randbelow_block(derive_seed(seed, i), n, m * width)
+            want = [randbelow_rows(derive_seed(seed, i), [n], m * width)
                     .reshape(m, width).T for i, m in enumerate(sizes)]
             assert len(got) == len(want)
             for a, b in zip(got, want):
@@ -154,8 +189,8 @@ def test_sample_domain_errors():
 
 
 def test_block_dtype_and_determinism():
-    a = u64_block(9, 0, 64)
-    b = u64_block(9, 0, 64)
+    a = u64_block(9, 64)
+    b = u64_block(9, 64)
     assert a.dtype == np.uint64
     assert np.array_equal(a, b)
 
@@ -164,7 +199,7 @@ def test_randbelow_rough_uniformity():
     # Coarse sanity check, not a statistical test: each residue class of a
     # small modulus should appear with frequency near 1/n.
     n = 5
-    vals = randbelow_block(2024, n, 50_000)
+    vals = randbelow_rows(2024, [n], 50_000).reshape(-1)
     counts = np.bincount(vals.astype(np.int64), minlength=n)
     assert counts.min() > 50_000 / n * 0.9
     assert counts.max() < 50_000 / n * 1.1
