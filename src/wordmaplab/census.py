@@ -71,12 +71,9 @@ class FiberStats:
 
 
 def fiber_stats(
-    w: Word, G: GroupTable, d: int | None = None,
-    budget: int = DEFAULT_TABLE_BUDGET,
+    w: Word, G: GroupTable, d: int, budget: int = DEFAULT_TABLE_BUDGET,
 ) -> FiberStats:
-    """Fiber sizes of w over G^d (d defaults to the word's arity)."""
-    if d is None:
-        d = max(w.arity, 1)
+    """Fiber sizes of w over G^d."""
     counts = np.bincount(_tables.word_values(w, G, d, budget), minlength=G.n)
     hist: dict[int, int] = {}
     for c in counts.tolist():
@@ -111,7 +108,7 @@ class CensusResult:
 
 
 def count_solutions_exact(
-    w: Word, G: GroupTable, d: int | None = None,
+    w: Word, G: GroupTable, d: int,
     iter_budget: int = DEFAULT_ITER_BUDGET,
     table_budget: int = DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
@@ -130,8 +127,6 @@ def count_solutions_exact(
     ``wv`` is the word table ``_tables.word_values(w, G, d)`` when the
     caller already has it.
     """
-    if d is None:
-        d = max(w.arity, 1)
     n = G.n
     space = check_power(n, 3 * d, iter_budget, "exact census")
     size = n ** d
@@ -155,8 +150,7 @@ def count_solutions_exact(
 
 
 def estimate_solutions(
-    w: Word, G: GroupTable, samples: int, seed: int,
-    d: int | None = None,
+    w: Word, G: GroupTable, samples: int, seed: int, d: int,
     table_budget: int = DEFAULT_TABLE_BUDGET,
     wv: np.ndarray | None = None,
 ) -> CensusResult:
@@ -172,8 +166,6 @@ def estimate_solutions(
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
-    if d is None:
-        d = max(w.arity, 1)
     n = G.n
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
@@ -285,7 +277,7 @@ class TheoremReport:
 
 
 def verify_theorem(
-    w: Word, G: GroupTable, d: int | None = None, *,
+    w: Word, G: GroupTable, d: int, *,
     samples: int | None = None, seed: int = 0,
     hom_budget: int = DEFAULT_CANDIDATE_BUDGET,
     iter_budget: int = DEFAULT_ITER_BUDGET,
@@ -300,8 +292,6 @@ def verify_theorem(
     skips the hom-set search and scores that homomorphism instead; a table
     that is not a hom G^d -> G raises ValueError.
     """
-    if d is None:
-        d = max(w.arity, 1)
     if hom is not None:
         hom = check_hom(G, hom)
         if len(hom) != d:

@@ -11,7 +11,6 @@ f1(rho) |X|^2 ordered index pairs (diagonal included) have
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -245,13 +244,13 @@ def adversarial_families() -> list[FamilyInstance]:
     return out
 
 
-def load_family(path_or_file, label: str = "",
+def load_family(path, label: str = "",
                 table_budget: int = DEFAULT_TABLE_BUDGET) -> FamilyInstance:
     """Read a family file: a header 'X=<n> I=<m> rho=<num>/<den>', then one
     line of 0-based member indices per set; only blank lines may follow the
     I set lines.  The I x |X| membership matrix counts against
     ``table_budget``."""
-    def read(fh):
+    with open(path) as fh:
         header = fh.readline().split()
         try:
             fields = dict(part.split("=", 1) for part in header)
@@ -286,8 +285,3 @@ def load_family(path_or_file, label: str = "",
                     f"line {line_no}: unexpected text after the {i_size} "
                     "set lines")
         return FamilyInstance(x_size=x_size, rho=rho, sets=sets, label=label)
-
-    if isinstance(path_or_file, io.TextIOBase):
-        return read(path_or_file)
-    with open(path_or_file) as fh:
-        return read(fh)

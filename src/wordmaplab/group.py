@@ -232,8 +232,7 @@ def symmetric(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
-    G = closure(gens, budget, name=f"S{n}")
-    return G
+    return closure(gens, budget, name=f"S{n}")
 
 
 def alternating(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
@@ -313,7 +312,7 @@ def build(spec: str, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     spec = spec.strip()
     if not spec:
         raise GroupSpecError("empty group spec")
-    atoms = [a for a in spec.split("x")]
+    atoms = spec.split("x")
     if any(not a.strip() for a in atoms):
         raise GroupSpecError(f"empty atom in spec: {spec!r}")
     G = _build_atom(atoms[0], budget)

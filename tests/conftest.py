@@ -7,7 +7,6 @@ from a second, slower direction.
 
 from __future__ import annotations
 
-import io
 import itertools
 from fractions import Fraction
 
@@ -270,20 +269,21 @@ def fisher_yates_sample(gen, population, k):
     return out
 
 
-def save_family(inst, path_or_file) -> None:
-    """Write ``inst`` as a family file that ``load_family`` and
+def family_text(inst) -> str:
+    """``inst`` in the family file format that ``load_family`` and
     ``verify-lemma --file`` read: the header 'X=<n> I=<m> rho=<num>/<den>',
     then one line of sorted 0-based member indices per set."""
-    def write(fh):
-        fh.write(f"X={inst.x_size} I={inst.i_size} rho={rat_str(inst.rho)}\n")
-        for row in inst.sets:
-            fh.write(" ".join(str(i) for i in np.nonzero(row)[0]) + "\n")
+    lines = [f"X={inst.x_size} I={inst.i_size} rho={rat_str(inst.rho)}"]
+    lines += [" ".join(str(i) for i in np.nonzero(row)[0])
+              for row in inst.sets]
+    return "\n".join(lines) + "\n"
 
-    if isinstance(path_or_file, io.TextIOBase):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            write(fh)
+
+def save_family(inst, path) -> None:
+    """Write ``family_text(inst)`` to ``path``, in the default encoding that
+    ``load_family`` opens it with."""
+    with open(path, "w") as fh:
+        fh.write(family_text(inst))
 
 
 def family_oracle(x_size, i_size, set_size, seed):

@@ -58,12 +58,12 @@ def test_word_map_table_matches_scalar_evaluation(groups):
 
 
 def test_fiber_stats_pinned(groups):
-    st = fiber_stats(parse_word("x1^2"), groups["C4"])
+    st = fiber_stats(parse_word("x1^2"), groups["C4"], 1)
     assert st.counts == (2, 0, 2, 0)
     assert st.histogram == {2: 2, 0: 2}
     assert st.max_fiber == Fraction(1, 2)
 
-    ident = fiber_stats(parse_word("x1"), groups["Q8"])
+    ident = fiber_stats(parse_word("x1"), groups["Q8"], 1)
     assert ident.histogram == {1: 8}
     assert ident.max_fiber == Fraction(1, 8)
 
@@ -181,8 +181,8 @@ def test_exact_census_budget(groups):
 
 def test_estimator_deterministic(groups):
     w = parse_word("x1^2")
-    a = estimate_solutions(w, groups["S3"], 10_000, 0)
-    b = estimate_solutions(w, groups["S3"], 10_000, 0)
+    a = estimate_solutions(w, groups["S3"], 10_000, 0, 1)
+    b = estimate_solutions(w, groups["S3"], 10_000, 0, 1)
     assert a == b
     assert a.estimate_mean == Fraction(633, 1250)
     assert a.mode == "estimate" and a.seed == 0 and a.samples == 10_000
@@ -211,30 +211,30 @@ def test_estimator_matches_scalar_oracle(spec, text, d, groups):
 
 def test_estimator_covers_true_value(groups):
     # Deterministic given the pinned seed; the interval contains p = 1/2.
-    est = estimate_solutions(parse_word("x1^2"), groups["S3"], 10_000, 0)
+    est = estimate_solutions(parse_word("x1^2"), groups["S3"], 10_000, 0, 1)
     assert abs(est.estimate_mean - Fraction(1, 2)) <= est.ci_half_width
 
 
 def test_estimator_saturated_and_degenerate(groups):
-    est = estimate_solutions(parse_word("x1*x2"), groups["C4"], 1500, 9)
+    est = estimate_solutions(parse_word("x1*x2"), groups["C4"], 1500, 9, 2)
     assert est.estimate_mean == 1
     assert est.ci_half_width == 0
 
-    one = estimate_solutions(parse_word("x1^2"), groups["C1"], 1000, 5)
+    one = estimate_solutions(parse_word("x1^2"), groups["C1"], 1000, 5, 1)
     assert one.estimate_mean == 1
 
 
 def test_estimator_needs_min_samples(groups):
     with pytest.raises(ValueError):
-        estimate_solutions(parse_word("x1^2"), groups["S3"], 999, 0)
+        estimate_solutions(parse_word("x1^2"), groups["S3"], 999, 0, 1)
 
 
 def test_estimator_chunking_is_stable(groups):
     # More than one chunk; a second run with the same seed repeats it.
     w = parse_word("x1^2")
     m = CHUNK + 123
-    a = estimate_solutions(w, groups["S3"], m, 3)
-    b = estimate_solutions(w, groups["S3"], m, 3)
+    a = estimate_solutions(w, groups["S3"], m, 3, 1)
+    b = estimate_solutions(w, groups["S3"], m, 3, 1)
     assert a == b
 
 
@@ -388,8 +388,13 @@ def test_empty_set_rejected(groups):
         triples_of(np.zeros(6, dtype=bool), groups["C6"], 1)
 
 
+def test_flag_length_checked(groups):
+    with pytest.raises(ValueError, match="must have length 36"):
+        triples_of(np.ones(6, dtype=bool), groups["C6"], 2)
+
+
 def test_verify_theorem_s3_square(groups):
-    rep = verify_theorem(parse_word("x1^2"), groups["S3"])
+    rep = verify_theorem(parse_word("x1^2"), groups["S3"], 1)
     assert rep.rho == Fraction(2, 3)
     assert rep.s_size == 4
     assert rep.solutions.count == 108
@@ -431,21 +436,21 @@ def test_verify_theorem_counts_match_public_functions(groups):
 
 
 def test_verify_theorem_abelian_saturation(groups):
-    rep = verify_theorem(parse_word("x1*x2"), groups["C4"])
+    rep = verify_theorem(parse_word("x1*x2"), groups["C4"], 2)
     assert rep.rho == 1
     assert rep.solutions.count == rep.solutions.space_size == 4096
     assert rep.passed
 
 
 def test_verify_theorem_trivial_group(groups):
-    rep = verify_theorem(parse_word("x1^2"), groups["C1"])
+    rep = verify_theorem(parse_word("x1^2"), groups["C1"], 1)
     assert rep.rho == 1
     assert rep.solutions.count == 1
     assert rep.passed
 
 
 def test_verify_theorem_estimate_mode(groups):
-    rep = verify_theorem(parse_word("x1^2"), groups["S3"], samples=2000,
+    rep = verify_theorem(parse_word("x1^2"), groups["S3"], 1, samples=2000,
                          seed=1)
     assert rep.solutions.mode == "estimate"
     assert "census-estimate" in rep.checks_run
@@ -456,11 +461,11 @@ def test_verify_theorem_estimate_mode(groups):
 def test_verify_theorem_with_given_hom(groups):
     G = groups["C4"]
     ident = [0, 1, 2, 3]
-    rep = verify_theorem(parse_word("x1*x2"), G,
+    rep = verify_theorem(parse_word("x1*x2"), G, 2,
                          hom=np.array([ident, ident]))
     assert rep.rho == 1
     with pytest.raises(ValueError):
-        verify_theorem(parse_word("x1*x2"), G, hom=np.array([ident]))
+        verify_theorem(parse_word("x1*x2"), G, 2, hom=np.array([ident]))
 
 
 def test_verify_theorem_rejects_non_homs(groups):
@@ -544,7 +549,7 @@ def test_verify_commuting_corollary_abelian(groups):
 
 
 def test_required_quantities_consistent(groups):
-    rep = verify_theorem(parse_word("x1^3"), groups["Q8"])
+    rep = verify_theorem(parse_word("x1^3"), groups["Q8"], 1)
     bt = bound_triple(rep.rho)
     n, d = rep.order, rep.d
     assert rep.required == bt.f * n ** (3 * d)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -296,6 +297,10 @@ def test_usage_errors(capsys):
           "--seed", "-1"], "--seed must be an unsigned 64-bit integer"),
         (["verify-theorem", "--group", "S3", "--word", "x1*x2", "--d", "1"],
          "word uses x2 but --d is 1"),
+        (["hom-search", "--group", "S3", "--word", "x1*x2", "--d", "1"],
+         "word uses x2 but --d is 1"),
+        (["hom-search", "--group", "S3", "--budget-hom", "0"],
+         "--budget-hom must be >= 1"),
         (["verify-lemma", "--file", "/nonexistent/family.txt"],
          "[Errno 2] No such file or directory: '/nonexistent/family.txt'"),
         (["verify-lemma", "--fuzz", "-3"], "--fuzz must be >= 0"),
@@ -319,6 +324,91 @@ def test_usage_errors(capsys):
     for argv, line in cases:
         assert cli.run(argv) == 2, argv
         assert capsys.readouterr().err.splitlines()[-1].startswith(line)
+
+
+# The flags each subcommand is run with; a subcommand missing here fails
+# the tests below with a KeyError.
+FLAGS = {
+    "verify-theorem": ["--group", "S3", "--word", "x1^2", "--seed", "5"],
+    "verify-mann": ["--group", "Q8", "-e", "2"],
+    "verify-commuting": ["--group", "S3", "--seed", "3"],
+    "verify-lemma": ["--fuzz", "3", "--seed", "7"],
+    "derive-word": ["--word", "x1*x2"],
+    "fiber-stats": ["--group", "C4", "--word", "x1^2", "--d", "2"],
+    "hom-search": ["--group", "S3", "--word", "x1^2"],
+    "commuting-probability": ["--group", "D4", "--budget-order", "100"],
+}
+
+CONFIG_KEYS = sorted([
+    "subcommand", "group", "word", "d", "e", "exact", "samples", "seed",
+    "budget_iter", "budget_hom", "budget_order", "budget_table", "format",
+    "out", "fuzz", "family_file", "hom_file",
+])
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_flags_before_subcommand(capsys, name):
+    # The one parser takes the flags on either side of the subcommand name.
+    code, after = run_json(capsys, [name] + FLAGS[name])
+    assert code == 0
+    code, before = run_json(capsys, FLAGS[name] + [name])
+    assert code == 0
+    for rep in (after, before):
+        rep.pop("timings")
+    assert before == after
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_config_keys_every_subcommand(capsys, name):
+    # Every subcommand echoes the whole flag set, wherever the flags stand.
+    for argv in ([name] + FLAGS[name], FLAGS[name] + [name]):
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert sorted(rep["config"]) == CONFIG_KEYS
+        assert rep["config"]["subcommand"] == name
+
+
+@pytest.mark.parametrize("extra", [
+    ["--d", "x"],
+    ["--format", "xml"],
+    ["--exact", "--samples", "2000"],
+])
+def test_refused_flag_values(capsys, extra):
+    argv = ["verify-theorem", "--group", "S3", "--word", "x1^2"] + extra
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("wordmaplab: error:")
+
+
+def test_verify_lemma_failure_report(capsys, monkeypatch):
+    # No known family fails the lemma, so raise one instance's requirement
+    # past its pair count.
+    verify_lemma = cli.familycheck.verify_lemma
+    failed = []
+
+    def fail_first(inst):
+        rep = verify_lemma(inst)
+        if not failed:
+            rep = dataclasses.replace(
+                rep, required_pairs=Fraction(rep.qualifying_pairs + 1))
+            failed.append(rep.label)
+        return rep
+
+    monkeypatch.setattr(cli.familycheck, "verify_lemma", fail_first)
+    code, rep = run_json(capsys, ["verify-lemma"])
+    assert code == 1
+    assert rep["pass"] is False
+    lm = rep["results"]["lemma"]
+    assert lm["instances"] == len(adversarial_families())
+    assert lm["passed"] == lm["instances"] - 1
+    (entry,) = lm["failures"]
+    assert sorted(entry) == sorted([
+        "label", "x_size", "i_size", "rho", "overlap_threshold",
+        "qualifying_pairs", "required_pairs", "pass"])
+    assert entry["label"] == failed[0]
+    assert entry["pass"] is False
+    assert entry["required_pairs"] == f"{int(entry['qualifying_pairs']) + 1}/1"
 
 
 def test_unwritable_out(capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from wordmaplab.familycheck import (
 )
 from wordmaplab.rng import MASK64, derive_seed
 
-from conftest import family_oracle, save_family, seed_with_raw
+from conftest import family_oracle, family_text, save_family, seed_with_raw
 
 
 def windows_instance():
@@ -226,10 +225,12 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.sets, inst.sets)
     assert back.label == "reloaded"
 
-    buf = io.StringIO()
-    save_family(inst, buf)
-    buf.seek(0)
-    again = load_family(buf)
+    # Files are read with universal newlines, as the CLI reads them.
+    crlf = tmp_path / "family-crlf.txt"
+    with open(crlf, "w", newline="\r\n") as fh:
+        fh.write(family_text(inst))
+    assert b"\r\n" in crlf.read_bytes()
+    again = load_family(crlf)
     assert np.array_equal(again.sets, inst.sets)
 
 
@@ -270,11 +271,10 @@ def families(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(families())
-def test_save_load_round_trip_property(inst):
-    buf = io.StringIO()
-    save_family(inst, buf)
-    buf.seek(0)
-    back = load_family(buf)
+def test_save_load_round_trip_property(tmp_path_factory, inst):
+    path = tmp_path_factory.mktemp("family") / "family.txt"
+    save_family(inst, path)
+    back = load_family(path)
     assert (back.x_size, back.rho) == (inst.x_size, inst.rho)
     assert np.array_equal(back.sets, inst.sets)
 
@@ -310,13 +310,14 @@ def _mutate(text, draw):
 
 @settings(max_examples=80, deadline=None)
 @given(families(), st.data())
-def test_load_family_rejects_mutations(inst, data):
+def test_load_family_rejects_mutations(tmp_path_factory, inst, data):
     # Only ValueError (exit 2) or BudgetExceededError (exit 3) may escape.
-    buf = io.StringIO()
-    save_family(inst, buf)
-    text, invalid = _mutate(buf.getvalue(), data.draw)
+    text, invalid = _mutate(family_text(inst), data.draw)
+    path = tmp_path_factory.mktemp("family") / "family.txt"
+    with open(path, "w") as fh:
+        fh.write(text)
     try:
-        load_family(io.StringIO(text), table_budget=10 ** 6)
+        load_family(path, table_budget=10 ** 6)
     except (ValueError, BudgetExceededError):
         return
     assert not invalid, text

@@ -166,6 +166,19 @@ def test_validation_catches_corruption():
         validate_table(q)
 
 
+def test_validation_catches_bad_entries():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        validate_table(GroupTable(mul=np.zeros((0, 0)), inv=[]))
+    mul = cyclic(4).mul.copy()
+    mul[2, 3] = 4
+    with pytest.raises(ValueError, match="out of range"):
+        validate_table(GroupTable(mul=mul, inv=[0, 3, 2, 1]))
+    # C4's table shifted by one: a Latin square whose row 0 is not 0 1 2 3.
+    shifted = (np.add.outer(np.arange(4), np.arange(4)) + 1) % 4
+    with pytest.raises(ValueError, match="not the identity"):
+        validate_table(GroupTable(mul=shifted, inv=[0, 3, 2, 1]))
+
+
 def test_element_power():
     G = symmetric(3)
     for g in range(G.n):

@@ -291,6 +291,11 @@ def test_agreement_arity_check(groups):
         verify_theorem(parse_word("x1*x2"), groups["C2"], 1, hom=phi)
 
 
+def test_best_agreement_arity_check(groups):
+    with pytest.raises(ValueError, match="word uses x2 but d = 1"):
+        best_agreement(parse_word("x1*x2"), groups["S3"], 1)
+
+
 def test_best_agreement_pinned(groups):
     # Oracle-verified: max agreement of squaring on S3 is 4 of 6 tuples,
     # first reached by the trivial endomorphism in enumeration order.

@@ -136,7 +136,7 @@ def test_production_draws_stay_vectorized(monkeypatch):
     S4 = build("S4")
     for seed in (0, 1, MASK64):
         assert estimate_solutions(parse_word("x1*x2"), S4, 10**5,
-                                  seed).samples == 10**5
+                                  seed, 2).samples == 10**5
         assert verify_commuting_corollary(S4, seed=seed).equation_consistent
 
 
