@@ -17,6 +17,7 @@ inexact values can never leak into an exact comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +38,8 @@ def check_rho(rho) -> Fraction:
 
 
 def ceil_two_over(rho) -> int:
-    """ceil(2 / rho), computed with integer arithmetic only."""
-    r = check_rho(rho)
-    num, den = r.numerator, r.denominator
-    return (2 * den + num - 1) // num
+    """ceil(2 / rho), exact: math.ceil of a Fraction divides integers."""
+    return math.ceil(2 / check_rho(rho))
 
 
 def f1(rho) -> Fraction:

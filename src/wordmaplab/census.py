@@ -262,7 +262,7 @@ class TheoremReport:
     required_pairs: Fraction       # f1(rho) |G|^{2d}
     qualifying_pairs: int | None
     triples: int | None
-    required_triples: Fraction     # f1 f2 |G|^{3d}
+    required_triples: Fraction     # f1 f2 |G|^{3d}, equal to required
     pass_solutions: bool
     pass_pairs: bool | None
     pass_triples: bool | None
@@ -287,10 +287,10 @@ def verify_theorem(
     """Measure rho*, evaluate the bound, and check the census against it.
 
     With ``samples=None`` the census is exact (a budget overrun is an error);
-    otherwise the sampled mean is compared against the required density and
-    the report's census mode says so.  ``hom``, a (d, n) component table,
-    skips the hom-set search and scores that homomorphism instead; a table
-    that is not a hom G^d -> G raises ValueError.
+    otherwise it is sampled and the report's census mode says so.  Either
+    census passes when its proportion reaches f(rho*).  ``hom``, a (d, n)
+    component table, skips the hom-set search and scores that homomorphism
+    instead; a table that is not a hom G^d -> G raises ValueError.
     """
     if hom is not None:
         hom = check_hom(G, hom)
@@ -308,24 +308,22 @@ def verify_theorem(
     rho = Fraction(s_size, size)
     bt = bound_triple(rho)
     required = bt.f * space
-    checks = []
 
     if samples is None:
         census = count_solutions_exact(
             w, G, d, iter_budget, table_budget, wv=wv
         )
-        pass_solutions = Fraction(census.count) >= required
-        checks.append("census-exact")
     else:
         census = estimate_solutions(
             w, G, samples, seed, d, table_budget, wv=wv
         )
-        pass_solutions = census.estimate_mean >= bt.f
-        checks.append("census-estimate")
+    # count >= f |G|^{3d} exactly when count / |G|^{3d} >= f, so one
+    # comparison of the proportion judges either census.
+    pass_solutions = census.proportion >= bt.f
+    checks = [f"census-{census.mode}"]
 
     pair_threshold = bt.f2 * size
     required_pairs = bt.f1 * size * size
-    required_triples = bt.f1 * bt.f2 * space
     qual = triples = None
     pass_pairs = pass_triples = pass_chain = None
     try:
@@ -335,7 +333,7 @@ def verify_theorem(
         pass  # over budget: the report leaves both steps out
     else:
         pass_pairs = Fraction(qual) >= required_pairs
-        pass_triples = Fraction(triples) >= required_triples
+        pass_triples = Fraction(triples) >= required
         checks += ["pairs", "triples"]
         if census.mode == "exact":
             pass_chain = census.count >= triples
@@ -355,7 +353,7 @@ def verify_theorem(
         required_pairs=required_pairs,
         qualifying_pairs=qual,
         triples=triples,
-        required_triples=required_triples,
+        required_triples=required,
         pass_solutions=pass_solutions,
         pass_pairs=pass_pairs,
         pass_triples=pass_triples,

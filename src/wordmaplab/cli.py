@@ -9,10 +9,11 @@ prints it as canonical JSON (or a text rendering) and exits with:
     3  a configured budget would be exceeded, or memory ran out
 
 Reports embed the full run configuration, which holds only the flags given
-and their fixed defaults.  With one exception a report is byte-identical
-across runs and machines for the same flags (including seeds): the
-``timings`` block holds wall-clock seconds and necessarily varies; all other
-content is deterministic.
+and their fixed defaults, plus ``exact``: derived, not a flag, it is true
+exactly when ``--samples`` is not given.  With one exception a report is
+byte-identical across runs and machines for the same flags (including
+seeds): the ``timings`` block holds wall-clock seconds and necessarily
+varies; all other content is deterministic.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _validate(ns: argparse.Namespace) -> None:
         raise ValueError("--seed must be an unsigned 64-bit integer")
     if ns.fuzz is not None and ns.fuzz < 0:
         raise ValueError("--fuzz must be >= 0")
+    if ns.d is not None and ns.d < 0:
+        raise ValueError("--d must be >= 0")
 
 
 def _census_dict(r: census.CensusResult) -> dict:
@@ -105,6 +108,15 @@ def _parse_word(cfg: argparse.Namespace):
     return parse_word(cfg.word)
 
 
+def _resolve_d(cfg: argparse.Namespace, w, default: int) -> int:
+    """``--d``, or ``default`` when it is not given; refuses a word ``w``
+    that uses more variables."""
+    d = default if cfg.d is None else cfg.d
+    if w is not None and w.arity > d:
+        raise ValueError(f"word uses x{w.arity} but --d is {d}")
+    return d
+
+
 def _load_hom(cfg: argparse.Namespace, G: group.GroupTable,
               d: int) -> np.ndarray:
     """The (d, n) table in ``cfg.hom_file``; verify_theorem checks it."""
@@ -129,9 +141,7 @@ def _load_hom(cfg: argparse.Namespace, G: group.GroupTable,
 def _cmd_verify_theorem(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
-    d = cfg.d if cfg.d is not None else max(w.arity, 1)
-    if w.arity > d:
-        raise ValueError(f"word uses x{w.arity} but --d is {d}")
+    d = _resolve_d(cfg, w, max(w.arity, 1))
     hom = _load_hom(cfg, G, d) if cfg.hom_file else None
     rep = census.verify_theorem(
         w, G, d,
@@ -237,7 +247,7 @@ def _cmd_derive_word(cfg: argparse.Namespace):
 def _cmd_fiber_stats(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
-    d = cfg.d if cfg.d is not None else max(w.arity, 1)
+    d = _resolve_d(cfg, w, max(w.arity, 1))
     st = census.fiber_stats(w, G, d, cfg.budget_table)
     results = {
         "group": G.name,
@@ -252,7 +262,7 @@ def _cmd_fiber_stats(cfg: argparse.Namespace):
 
 def _cmd_hom_search(cfg: argparse.Namespace):
     G = _build_group(cfg)
-    d = cfg.d if cfg.d is not None else 1
+    d = _resolve_d(cfg, None, 1)
     endos, tuples = homset.homs_power(G, d, cfg.budget_hom)
     results = {
         "group": G.name,
@@ -263,8 +273,7 @@ def _cmd_hom_search(cfg: argparse.Namespace):
     }
     if cfg.word is not None:
         w = _parse_word(cfg)
-        if w.arity > d:
-            raise ValueError(f"word uses x{w.arity} but --d is {d}")
+        _resolve_d(cfg, w, d)
         rho, phi = homset.best_agreement(
             w, G, d, cfg.budget_hom, cfg.budget_table, homs=(endos, tuples)
         )
@@ -311,11 +320,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="word, e.g. 'x1*x2^-1'")
     p.add_argument("--d", type=int, help="power of G mapped from")
     p.add_argument("-e", type=int, help="exponent for verify-mann")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=None,
-                      help="force the exact census (default)")
-    mode.add_argument("--samples", type=int,
-                      help="estimate with this many samples")
+    p.add_argument("--samples", type=int,
+                   help="estimate with this many samples (default: exact "
+                        "census)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-iter", type=int,
                    default=errors.DEFAULT_ITER_BUDGET)

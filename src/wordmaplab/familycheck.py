@@ -6,7 +6,8 @@ f1(rho) |X|^2 ordered index pairs (diagonal included) have
 |M_i ∩ M_j| >= f2(rho) |X|.  ``verify_lemma`` measures the exact pair count;
 ``random_family`` (seeded, vectorized partial Fisher-Yates) and
 ``adversarial_families`` supply fuzz and boundary instances, and
-``load_family`` reads one from a one-set-per-line text file.
+``load_family`` reads one from a one-set-per-line text file.  Every
+adversarial family is a family of cyclic windows of X, one table row each.
 """
 
 from __future__ import annotations
@@ -176,72 +177,46 @@ def fuzz_instances(count: int, seed: int) -> Iterator[FamilyInstance]:
         yield random_family(x_size, i_size, rho, derive_seed(seed, k))
 
 
-def _windows(x_size: int, starts: list[int], width: int) -> np.ndarray:
-    sets = np.zeros((len(starts), x_size), dtype=bool)
-    for row, s in enumerate(starts):
-        for j in range(width):
-            sets[row, (s + j) % x_size] = True
-    return sets
+def _windows(x_size: int, starts, width: int) -> np.ndarray:
+    """Row r holds the ``width`` points of X from ``starts[r]`` on, read
+    cyclically."""
+    offsets = np.arange(x_size) - np.asarray(starts)[:, None]
+    return offsets % x_size < width
+
+
+# Every adversarial instance is a family of cyclic windows of X:
+# (label, |X|, rho, window starts, window width).
+_ADVERSARIAL = (
+    # Tiny ground set, pairwise disjoint singletons.
+    ("disjoint-singletons(x=3,rho=1/3)", 3, Fraction(1, 3), range(3), 1),
+    # rho = 1/2 boundary: |X| = 4 * 4 * 2 = 32, sets of half size.
+    ("boundary-windows(x=32,rho=1/2)", 32, Fraction(1, 2), range(16), 16),
+    # Same boundary but only two distinct sets: the two halves, repeated.
+    ("boundary-two-halves(x=32,rho=1/2)", 32, Fraction(1, 2),
+     [0, 16] * 8, 16),
+    # Just above the boundary.
+    ("above-boundary-windows(x=33,rho=1/2)", 33, Fraction(1, 2),
+     range(17), 17),
+    # Below the boundary (small-X regime) at rho = 1/2.
+    ("below-boundary-windows(x=8,rho=1/2)", 8, Fraction(1, 2),
+     [0, 2, 4, 6], 4),
+    # Partition family: X split into 1/rho blocks, each set one block.
+    ("partition-blocks(x=50,rho=1/5)", 50, Fraction(1, 5),
+     [10 * (i % 5) for i in range(10)], 10),
+    # Saturated family: every set is all of X at rho = 1.
+    ("saturated(x=10,rho=1)", 10, Fraction(1), [0] * 10, 10),
+)
 
 
 def adversarial_families() -> list[FamilyInstance]:
     """Hand-built instances around the analysis' case boundary |X| =
     4 ceil(2/rho) / rho: tiny ground sets, the boundary itself, just above
     it, and families with minimal or zero off-diagonal overlap."""
-    out = []
-
-    # Tiny ground set, pairwise disjoint singletons.
-    out.append(FamilyInstance(
-        x_size=3, rho=Fraction(1, 3),
-        sets=np.eye(3, dtype=bool), label="disjoint-singletons(x=3,rho=1/3)",
-    ))
-
-    # rho = 1/2 boundary: |X| = 4 * 4 * 2 = 32, sets of half size.
-    out.append(FamilyInstance(
-        x_size=32, rho=Fraction(1, 2),
-        sets=_windows(32, list(range(16)), 16),
-        label="boundary-windows(x=32,rho=1/2)",
-    ))
-
-    # Same boundary but only two distinct sets: the two halves, repeated.
-    halves = np.zeros((16, 32), dtype=bool)
-    halves[0::2, :16] = True
-    halves[1::2, 16:] = True
-    out.append(FamilyInstance(
-        x_size=32, rho=Fraction(1, 2), sets=halves,
-        label="boundary-two-halves(x=32,rho=1/2)",
-    ))
-
-    # Just above the boundary.
-    out.append(FamilyInstance(
-        x_size=33, rho=Fraction(1, 2),
-        sets=_windows(33, list(range(17)), 17),
-        label="above-boundary-windows(x=33,rho=1/2)",
-    ))
-
-    # Below the boundary (small-X regime) at rho = 1/2.
-    out.append(FamilyInstance(
-        x_size=8, rho=Fraction(1, 2),
-        sets=_windows(8, [0, 2, 4, 6], 4),
-        label="below-boundary-windows(x=8,rho=1/2)",
-    ))
-
-    # Partition family: X split into 1/rho blocks, each set one block.
-    blocks = np.zeros((10, 50), dtype=bool)
-    for i in range(10):
-        b = i % 5
-        blocks[i, 10 * b:10 * (b + 1)] = True
-    out.append(FamilyInstance(
-        x_size=50, rho=Fraction(1, 5), sets=blocks,
-        label="partition-blocks(x=50,rho=1/5)",
-    ))
-
-    # Saturated family: every set is all of X at rho = 1.
-    out.append(FamilyInstance(
-        x_size=10, rho=Fraction(1),
-        sets=np.ones((10, 10), dtype=bool), label="saturated(x=10,rho=1)",
-    ))
-    return out
+    return [
+        FamilyInstance(x_size=x_size, rho=rho,
+                       sets=_windows(x_size, starts, width), label=label)
+        for label, x_size, rho, starts, width in _ADVERSARIAL
+    ]
 
 
 def load_family(path, label: str = "",

@@ -306,6 +306,13 @@ def test_usage_errors(capsys):
         (["verify-lemma", "--fuzz", "-3"], "--fuzz must be >= 0"),
         (["verify-theorem", "--group", "S3", "--word", "1", "--d", "0"],
          "d must be >= 1"),
+        (["verify-theorem", "--group", "S3", "--word", "1", "--d", "-1"],
+         "--d must be >= 0"),
+        (["fiber-stats", "--group", "S3", "--word", "1", "--d", "-1"],
+         "--d must be >= 0"),
+        (["hom-search", "--group", "S3", "--d", "-1"], "--d must be >= 0"),
+        (["fiber-stats", "--group", "S3", "--word", "x1*x2", "--d", "1"],
+         "word uses x2 but --d is 1"),
     ]
     for argv, line in cases:
         assert_stderr(capsys, argv, 2, "error: " + line)
@@ -517,9 +524,22 @@ def test_check_failure_exit(capsys, monkeypatch):
     assert rep["pass"] is False
 
 
-def test_mutually_exclusive_modes(capsys):
+def test_exact_flag_removed(capsys):
+    # The exact census is the default, so there is no flag to select it.
     assert cli.run(["verify-theorem", "--group", "S3", "--word", "x1^2",
-                    "--exact", "--samples", "2000"]) == 2
+                    "--exact"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "wordmaplab: error: unrecognized arguments: --exact")
+
+
+def test_config_exact_derived(capsys):
+    argv = ["verify-theorem", "--group", "S3", "--word", "x1^2"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["config"]["exact"] is True
+    code, rep = run_json(capsys, argv + ["--samples", "2000"])
+    assert code == 0
+    assert rep["config"]["exact"] is False
 
 
 def test_console_script_installed(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -204,6 +205,34 @@ def test_fuzz_instances_deterministic_and_passing():
         assert np.array_equal(ia.sets, ib.sets)
         assert ia.rho == ib.rho
     assert all(verify_lemma(inst).passed for inst in a)
+
+
+# Each adversarial family in order: label, |X|, rho and the SHA-256 of
+# np.packbits(sets, axis=1).
+ADVERSARIAL_PINS = [
+    ("disjoint-singletons(x=3,rho=1/3)", 3, Fraction(1, 3),
+     "1269523da5404a82c95810df1fcd3ea8701ff959b3dcec3b9b573d01a7ad07f9"),
+    ("boundary-windows(x=32,rho=1/2)", 32, Fraction(1, 2),
+     "f24cbc6ab8a659df7756911e7939318e71ca5cd7c2edb8b0eea51dce3b6c9224"),
+    ("boundary-two-halves(x=32,rho=1/2)", 32, Fraction(1, 2),
+     "5b3822ea7895aed7b478ef3d9ee62e2342c941c670110d52403c71e6dc07872f"),
+    ("above-boundary-windows(x=33,rho=1/2)", 33, Fraction(1, 2),
+     "d940c0d6a9371aed017bd4d03050b079cde328122db07209c5ddc29b09acc055"),
+    ("below-boundary-windows(x=8,rho=1/2)", 8, Fraction(1, 2),
+     "7038e46331d04f08ead9d2023550d892d5d2310e8fe0ac2779709e2b5453f7ef"),
+    ("partition-blocks(x=50,rho=1/5)", 50, Fraction(1, 5),
+     "9299b99e1b3c9025590a9cd7e11263399d39fa4e429544821d80cdfc93356183"),
+    ("saturated(x=10,rho=1)", 10, Fraction(1),
+     "45ad5eaf61ac16c0edd17af1796589e643e02f1cd3cec3d85f0682aaece86e2a"),
+]
+
+
+def test_adversarial_families_pinned():
+    got = [(inst.label, inst.x_size, inst.rho,
+            hashlib.sha256(np.packbits(inst.sets, axis=1).tobytes())
+            .hexdigest())
+           for inst in adversarial_families()]
+    assert got == ADVERSARIAL_PINS
 
 
 def test_adversarial_families_pass():
