@@ -108,10 +108,12 @@ def _parse_word(cfg: argparse.Namespace):
     return parse_word(cfg.word)
 
 
-def _resolve_d(cfg: argparse.Namespace, w, default: int) -> int:
-    """``--d``, or ``default`` when it is not given; refuses a word ``w``
-    that uses more variables."""
+def _resolve_d(cfg: argparse.Namespace, w, default: int, least: int) -> int:
+    """``--d``, or ``default`` when it is not given; refuses a ``--d`` below
+    ``least`` and a word ``w`` that uses more variables."""
     d = default if cfg.d is None else cfg.d
+    if d < least:
+        raise ValueError(f"--d must be >= {least}")
     if w is not None and w.arity > d:
         raise ValueError(f"word uses x{w.arity} but --d is {d}")
     return d
@@ -141,7 +143,7 @@ def _load_hom(cfg: argparse.Namespace, G: group.GroupTable,
 def _cmd_verify_theorem(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
-    d = _resolve_d(cfg, w, max(w.arity, 1))
+    d = _resolve_d(cfg, w, max(w.arity, 1), 1)
     hom = _load_hom(cfg, G, d) if cfg.hom_file else None
     rep = census.verify_theorem(
         w, G, d,
@@ -247,7 +249,7 @@ def _cmd_derive_word(cfg: argparse.Namespace):
 def _cmd_fiber_stats(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
-    d = _resolve_d(cfg, w, max(w.arity, 1))
+    d = _resolve_d(cfg, w, max(w.arity, 1), 0)
     st = census.fiber_stats(w, G, d, cfg.budget_table)
     results = {
         "group": G.name,
@@ -262,7 +264,7 @@ def _cmd_fiber_stats(cfg: argparse.Namespace):
 
 def _cmd_hom_search(cfg: argparse.Namespace):
     G = _build_group(cfg)
-    d = _resolve_d(cfg, None, 1)
+    d = _resolve_d(cfg, None, 1, 1)
     endos, tuples = homset.homs_power(G, d, cfg.budget_hom)
     results = {
         "group": G.name,
@@ -273,7 +275,7 @@ def _cmd_hom_search(cfg: argparse.Namespace):
     }
     if cfg.word is not None:
         w = _parse_word(cfg)
-        _resolve_d(cfg, w, d)
+        _resolve_d(cfg, w, d, 1)
         rho, phi = homset.best_agreement(
             w, G, d, cfg.budget_hom, cfg.budget_table, homs=(endos, tuples)
         )

@@ -93,17 +93,15 @@ def check_hom(G: GroupTable, phi) -> np.ndarray:
 
 
 def _commuting_pairs(G: GroupTable, rows: np.ndarray) -> np.ndarray:
-    """ok[i, j]: no non-commuting pair (a, b) lies in im_i x im_j, for the
-    value rows i and j of the (k, n) table ``rows``.  A matmul counts such
-    pairs over 0/1 image indicators, a block of rows at a time; each count is
-    an integer of at most n^2, so float64 arithmetic is exact."""
-    M = G.mul
-    ind = np.zeros((len(rows), G.n))
-    np.put_along_axis(ind, rows, 1.0, axis=1)
-    left = ind @ (M != M.T).astype(np.float64)
+    """ok[i, j]: the images of the endomorphism rows i and j of the (k, n)
+    table ``rows`` commute.  An image is generated by the row's values at the
+    greedy generators, so cent[i] marks the centralizer of image i, and
+    ok[i, j] asks that it holds row j's generator values, a block at a time."""
+    vals = rows[:, greedy_generators(G)[0]]
+    cent = (G.mul == G.mul.T)[vals].all(axis=1)
     ok = np.empty((len(rows), len(rows)), dtype=bool)
     for lo, hi in row_blocks(len(rows), len(rows)):
-        ok[lo:hi] = left[lo:hi] @ ind.T == 0
+        ok[lo:hi] = cent[lo:hi, vals.T].all(axis=1)
     return ok
 
 

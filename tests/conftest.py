@@ -207,6 +207,20 @@ def brute_force_endos(G):
     return out
 
 
+def image_pair_table(G, rows):
+    """ok[i, j] of ``homset._commuting_pairs`` from the definition: every
+    element of the image of row i commutes with every element of the image
+    of row j.  Each pair of distinct images is checked element pair by
+    element pair, with plain loops."""
+    mul = G.mul.tolist()
+    images = [frozenset(r) for r in rows.tolist()]
+    distinct = list(dict.fromkeys(images))
+    table = np.array([[all(mul[a][b] == mul[b][a] for a in A for b in B)
+                       for B in distinct] for A in distinct], dtype=bool)
+    ids = [distinct.index(im) for im in images]
+    return table[np.ix_(ids, ids)]
+
+
 def hom_value_table(G, comps):
     """Values of the hom G^d -> G with component tables ``comps`` (d lists
     of n ids) on every tuple of G^d, in index order, by plain loops."""

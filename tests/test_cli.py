@@ -142,6 +142,12 @@ def test_fiber_stats(capsys):
     fb = rep["results"]["fibers"]
     assert fb["histogram"] == {"0": 2, "2": 2}
     assert fb["max_fiber"] == "1/2"
+    # Unlike verify-theorem and hom-search, fiber-stats takes --d 0: the
+    # word map on the one-point domain G^0.
+    code, rep = run_json(capsys, ["fiber-stats", "--group", "S3",
+                                  "--word", "1", "--d", "0"])
+    assert code == 0
+    assert rep["results"]["fibers"]["domain_size"] == "1"
 
 
 def test_hom_search(capsys):
@@ -305,7 +311,8 @@ def test_usage_errors(capsys):
          "[Errno 2] No such file or directory: '/nonexistent/family.txt'"),
         (["verify-lemma", "--fuzz", "-3"], "--fuzz must be >= 0"),
         (["verify-theorem", "--group", "S3", "--word", "1", "--d", "0"],
-         "d must be >= 1"),
+         "--d must be >= 1"),
+        (["hom-search", "--group", "S3", "--d", "0"], "--d must be >= 1"),
         (["verify-theorem", "--group", "S3", "--word", "1", "--d", "-1"],
          "--d must be >= 0"),
         (["fiber-stats", "--group", "S3", "--word", "1", "--d", "-1"],

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -133,6 +134,28 @@ def test_derived_word_structure():
         v = derived_word(w)
         assert v.arity <= 3 * w.arity
         assert bool(v) == (v != EMPTY)
+
+
+def test_derived_word_every_short_word():
+    # Every reduced word of at most 5 letters in at most 3 variables: v has
+    # at most 3d variables, for the d variables of w, and is nontrivial when
+    # |w| >= 2.  Of the one-letter words, x_i gives the trivial v and
+    # x_i^-1 a nontrivial one.
+    letters = [(var, sign) for var in (1, 2, 3) for sign in (1, -1)]
+    words = 0
+    for length in range(6):
+        for raw in itertools.product(letters, repeat=length):
+            w = reduce(raw)
+            if w.length < length:
+                continue  # an adjacent x_i x_i^-1 cancelled
+            words += 1
+            v = derived_word(w)
+            assert v.arity <= 3 * w.arity
+            if length >= 2:
+                assert v, str(w)
+            elif length == 1:
+                assert bool(v) == (raw[0][1] == -1), str(w)
+    assert words == 1 + 6 + 6 * 5 + 6 * 25 + 6 * 125 + 6 * 625
 
 
 def test_is_nontrivial_derived(capsys):

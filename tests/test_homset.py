@@ -16,6 +16,7 @@ from wordmaplab.group import (build, closure, direct_product,
                               greedy_generators, parse_cycles)
 from wordmaplab.homset import (
     _bijective,
+    _commuting_pairs,
     _hom_values,
     _separated_counts,
     agreement_flags,
@@ -26,7 +27,8 @@ from wordmaplab.homset import (
 )
 
 from conftest import (BATTERY_SPECS, agreement_set, brute_force_endos,
-                      expressions, hom_value_table, power_agreement_profile)
+                      expressions, hom_value_table, image_pair_table,
+                      power_agreement_profile)
 
 
 def assert_walk(G):
@@ -255,6 +257,45 @@ def test_homs_power_nonabelian_pair_oracle(groups):
         ):
             pairs += 1
     assert len(homs_power(G, 2)[1]) == pairs
+
+
+# Groups whose greedy generator count the pair-table test pins: none, three
+# and four generators.
+GENERATOR_COUNTS = {"C1": 0, "Q8": 3, "C2xC2xC2": 3, "S3xS3": 4}
+
+
+@pytest.mark.parametrize(
+    "spec", BATTERY_SPECS + ["D20", "C6xS3", "S3xS3", "C2xC2xC2"])
+def test_commuting_pairs_vs_image_oracle(spec):
+    G = build(spec)
+    if spec in GENERATOR_COUNTS:
+        assert len(greedy_generators(G)[0]) == GENERATOR_COUNTS[spec]
+    endos = endomorphisms(G)
+    assert np.array_equal(_commuting_pairs(G, endos),
+                          image_pair_table(G, endos))
+    # check_hom names the first pair i < j, in row-major order, whose
+    # images do not commute: here among four spread-out endomorphisms and
+    # the identity.
+    phi = np.vstack([endos[::max(1, len(endos) // 4)][:4], np.arange(G.n)])
+    ok = image_pair_table(G, phi)
+    bad = [(i, j) for i, j in itertools.combinations(range(len(phi)), 2)
+           if not ok[i, j]]
+    if bad:
+        with pytest.raises(ValueError, match="^components %d and %d have "
+                           "non-commuting images$" % bad[0]):
+            check_hom(G, phi)
+    else:
+        assert np.array_equal(check_hom(G, phi), phi)
+
+
+def test_hom_enumeration_leaves_no_thread_spinning():
+    # Everything runs on one thread.  A BLAS call would leave its worker
+    # threads spinning after it returns, charging CPU time to this process
+    # while it sleeps; on a one-core machine there are no workers to spin.
+    homs_power(build("D20"), 2)
+    t0 = time.process_time()
+    time.sleep(0.2)
+    assert time.process_time() - t0 < 0.03
 
 
 def test_homs_power_abelian_is_full_product(groups):
