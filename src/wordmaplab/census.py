@@ -162,13 +162,16 @@ def estimate_solutions(
     approximation z * sqrt(p(1-p)/samples) with z = 49/25 and the square root
     taken by integer arithmetic, so identical (seed, samples) reproduce the
     result bit for bit on any platform.  ``wv`` is as in
-    ``count_solutions_exact``.
+    ``count_solutions_exact``.  A chunk's draws are held in three (3d, CHUNK)
+    buffers, 9d cells per sample, which count against ``table_budget``.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = G.n
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
+    check_budget(9 * d * min(CHUNK, samples), table_budget,
+                 "sampled census chunk")
     index = _tables.tuple_index
     # Flat tables: mul[a*n + b] = ab and quot[a*n + b] = a^-1 b.
     mul = G.mul.ravel()

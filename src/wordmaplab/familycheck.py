@@ -232,7 +232,7 @@ def load_family(path, label: str = "",
             x_size = int(fields["X"])
             i_size = int(fields["I"])
             rho = parse_rat(fields["rho"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad family header: {header}") from exc
         if x_size < 1 or i_size < 1:
             raise ValueError(f"bad family header: {header} (X and I must be "

@@ -85,22 +85,21 @@ def check_hom(G: GroupTable, phi) -> np.ndarray:
     if _respects_generators(G, gens, phi.T).shape[1] < len(phi):
         raise ValueError("component table is not an endomorphism")
     # The first pair i < j in row-major order whose images do not commute.
-    bad = np.argwhere(np.triu(~_commuting_pairs(G, phi), 1))
+    bad = np.argwhere(np.triu(~_commuting_pairs(G, phi[:, gens]), 1))
     if len(bad):
         i, j = bad[0]
         raise ValueError(f"components {i} and {j} have non-commuting images")
     return phi
 
 
-def _commuting_pairs(G: GroupTable, rows: np.ndarray) -> np.ndarray:
-    """ok[i, j]: the images of the endomorphism rows i and j of the (k, n)
-    table ``rows`` commute.  An image is generated by the row's values at the
-    greedy generators, so cent[i] marks the centralizer of image i, and
-    ok[i, j] asks that it holds row j's generator values, a block at a time."""
-    vals = rows[:, greedy_generators(G)[0]]
+def _commuting_pairs(G: GroupTable, vals: np.ndarray) -> np.ndarray:
+    """ok[i, j]: the images of endomorphisms i and j commute, given the
+    (k, g) table ``vals`` of their values at the greedy generators.  Those
+    values generate each image, so cent[i] marks the centralizer of image i,
+    and ok[i, j] asks that it holds row j's values, a block at a time."""
     cent = (G.mul == G.mul.T)[vals].all(axis=1)
-    ok = np.empty((len(rows), len(rows)), dtype=bool)
-    for lo, hi in row_blocks(len(rows), len(rows)):
+    ok = np.empty((len(vals), len(vals)), dtype=bool)
+    for lo, hi in row_blocks(len(vals), len(vals)):
         ok[lo:hi] = cent[lo:hi, vals.T].all(axis=1)
     return ok
 
@@ -120,7 +119,9 @@ def homs_power(
     Returns ``(endos, tuples)``: the table of ``endomorphisms(G)`` and an
     (m, d) int64 array of row indices into it, one row per hom, in
     itertools.product order over the rows of ``endos``.  Hom i is the (d, n)
-    component table ``endos[tuples[i]]``.
+    component table ``endos[tuples[i]]``.  Each prefix carries ok, the AND
+    of its components' pair-table rows, which marks its admissible next
+    columns; a prefix extended by column j carries its parent's ok & row j.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -129,15 +130,14 @@ def homs_power(
     check_power(k, d, budget, "hom enumeration")
     if d == 1:
         return endos, np.arange(k, dtype=np.int64)[:, None]
-    pair_ok = _commuting_pairs(G, endos)
+    pair_ok = _commuting_pairs(G, endos[:, greedy_generators(G)[0]])
     # Row-major order of the admissible prefixes, extended one column at a
     # time, is the product order of the admissible d-tuples.
     tuples = np.argwhere(pair_ok)
     for c in range(2, d):
         check_budget(len(tuples) * k * (c + 1), budget, "hom extension")
-        ok = pair_ok[tuples[:, 0]]
-        for i in range(1, c):
-            ok &= pair_ok[tuples[:, i]]
+        ok = ((ok[rows] if c > 2 else pair_ok[tuples[:, 0]])
+              & pair_ok[tuples[:, -1]])
         rows, nxt = np.nonzero(ok)
         tuples = np.column_stack([tuples[rows], nxt])
     return endos, tuples
@@ -147,16 +147,15 @@ def _hom_values(M: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """Values on every tuple of G^d of each hom in an (h, d, n) block of
     component tables: shape (h, n^d), each row in index order.
 
-    One broadcast gather per coordinate serves the whole block: after j
-    coordinates, vals[b, g_1, ..., g_j] = c_1(g_1) ... c_j(g_j) for the
-    components c_1, ..., c_j of hom b.
+    One gather per coordinate serves the whole block: after j coordinates,
+    vals[b] is the flat table over G^j, in index order, of c_1(g_1) ...
+    c_j(g_j) for the components c_i of hom b, so it has rank 2 at any d.
     """
-    h, d, n = comps.shape
+    h = len(comps)
     vals = comps[:, 0]
-    for i in range(1, d):
-        vals = M[vals[..., None],
-                 comps[:, i].reshape((h,) + (1,) * i + (n,))]
-    return vals.reshape(h, n ** d)
+    for i in range(1, comps.shape[1]):
+        vals = M[vals[:, :, None], comps[:, i, None, :]].reshape(h, -1)
+    return vals
 
 
 def agreement_flags(G: GroupTable, phi: np.ndarray,

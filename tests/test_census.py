@@ -348,14 +348,17 @@ def test_triple_count_budget(groups):
 
 def test_translate_gate_boundary(groups):
     # The pair/triple step holds 2 |S|^2 cells at once.  The hom is given,
-    # so hom scoring does not bind, and the census is sampled, so its table
-    # does not either: the step runs at 2 |S|^2 and is left out one below.
-    G = groups["S3"]
+    # so hom scoring does not bind, and the census is sampled, holding
+    # 9 * 2 * 1000 cells of draws, fewer than 2 |S|^2: the step runs at
+    # 2 |S|^2 and is left out one below.  Here S is x1^2 = 1 in S4^2, where
+    # x2 x1^2 agrees with the hom (1, id), so |S| = 24 * 10.
+    G = build("S4")
     w = parse_word("x2*x1^2")
-    phi = endomorphisms(G)[[0, 1]]
+    phi = np.stack([np.zeros(G.n, dtype=np.int64), np.arange(G.n)])
     S = agreement_set(w, G, phi)
     m = int(S.sum())
-    f2 = bound_triple(Fraction(m, 36)).f2
+    assert m == 240 and 2 * m * m - 1 >= 9 * 2 * 1000
+    f2 = bound_triple(Fraction(m, G.n ** 2)).f2
     rep = verify_theorem(w, G, 2, hom=phi, samples=1000,
                          table_budget=2 * m * m)
     assert rep.checks_run == ("census-estimate", "pairs", "triples")
@@ -372,6 +375,12 @@ def test_translate_gate_boundary(groups):
     rep = verify_theorem(w, G, 2, hom=phi, samples=1000,
                          iter_budget=m * m - 1)
     assert rep.checks_run == ("census-estimate",)
+    # Over S3, 2 |S|^2 = 288 cells cannot hold the sampled census's draws.
+    S3 = groups["S3"]
+    with pytest.raises(BudgetExceededError,
+                       match="^sampled census chunk needs 18000, budget 288$"):
+        verify_theorem(w, S3, 2, hom=endomorphisms(S3)[[0, 1]],
+                       samples=1000, table_budget=288)
 
 
 def test_exact_census_table_gate(groups):

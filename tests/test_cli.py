@@ -477,6 +477,8 @@ def test_verify_lemma_bad_family_header(tmp_path, capsys):
         ("X=0 I=3 rho=1/2", 2, bad.format("['X=0', 'I=3', 'rho=1/2']")),
         ("X=4 I=0 rho=1/2", 2, bad.format("['X=4', 'I=0', 'rho=1/2']")),
         ("X=4 I=-2 rho=1/2", 2, bad.format("['X=4', 'I=-2', 'rho=1/2']")),
+        ("X=4 I=2 rho=1/0", 2,
+         "error: bad family header: ['X=4', 'I=2', 'rho=1/0']"),
     ):
         path.write_text(header + "\n")
         assert_stderr(capsys, ["verify-lemma", "--file", str(path)], code,
@@ -499,8 +501,36 @@ def test_budget_exit(capsys):
          "word table needs 2176782336, budget 100000000"),
         (["verify-mann", "--group", "S6", "-e", "2", "--budget-iter", "1000"],
          "power equation census needs 373248000, budget 1000"),
+        # Three (3d, CHUNK) buffers of draws: 9 * 2000 * 8192 cells.
+        (["verify-theorem", "--group", "C1", "--word", "x1", "--d", "2000",
+          "--samples", "10000"],
+         "sampled census chunk needs 147456000, budget 100000000"),
     ):
         assert_stderr(capsys, argv, 3, "budget exceeded: " + line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem", "--word", "x1", "--d", "64"],
+    ["verify-theorem", "--word", "x1", "--d", "64", "--samples", "1000"],
+    ["hom-search", "--word", "x1", "--d", "70"],
+])
+def test_trivial_group_beyond_numpy_rank_limit(capsys, argv):
+    # No budget bounds d over C1, whose one hom agrees with every word.
+    # Scoring it must not build an array of rank d + 1: numpy allows 64.
+    code, rep = run_json(capsys, argv[:1] + ["--group", "C1"] + argv[1:])
+    assert code == 0 and rep["pass"] is True
+    res = rep["results"]
+    assert (res["homs"]["best_agreement"] if "homs" in res
+            else res["theorem"]["rho"]) == "1/1"
+
+
+def test_trivial_group_hom_search_at_large_d(capsys):
+    # Growing the one hom tuple by a column at a time stays fast at d = 8000.
+    t0 = time.perf_counter()
+    code, rep = run_json(capsys, ["hom-search", "--group", "C1",
+                                  "--d", "8000"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0 and rep["results"]["homs"]["homs"] == 1
 
 
 def test_memory_error_exit(capsys, monkeypatch):

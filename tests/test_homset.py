@@ -194,8 +194,11 @@ def test_endomorphism_order_vs_loop_oracle(spec, groups):
     assert got == loop_endomorphisms(G)
 
 
+# From d = 4 on, each prefix carries its pair-table mask over from the prefix
+# it extends, through more than one step.
 @pytest.mark.parametrize("spec,d", [("S3", 2), ("D4", 2), ("S3", 3),
-                                    ("C2xC2", 3)])
+                                    ("C2xC2", 3), ("S3", 4), ("S3", 5),
+                                    ("C2xC2", 4)])
 def test_homs_power_order_vs_loop_oracle(spec, d, groups):
     G = groups[spec]
     endos, tuples = homs_power(G, d)
@@ -271,7 +274,8 @@ def test_commuting_pairs_vs_image_oracle(spec):
     if spec in GENERATOR_COUNTS:
         assert len(greedy_generators(G)[0]) == GENERATOR_COUNTS[spec]
     endos = endomorphisms(G)
-    assert np.array_equal(_commuting_pairs(G, endos),
+    gens = greedy_generators(G)[0]
+    assert np.array_equal(_commuting_pairs(G, endos[:, gens]),
                           image_pair_table(G, endos))
     # check_hom names the first pair i < j, in row-major order, whose
     # images do not commute: here among four spread-out endomorphisms and
@@ -286,6 +290,22 @@ def test_commuting_pairs_vs_image_oracle(spec):
             check_hom(G, phi)
     else:
         assert np.array_equal(check_hom(G, phi), phi)
+
+
+def test_check_hom_walks_the_group_once(monkeypatch):
+    walks = []
+
+    def counted(G):
+        walks.append(G)
+        return greedy_generators(G)
+
+    monkeypatch.setattr(homset, "greedy_generators", counted)
+    G = build("S3")
+    # The identity and two trivial components: a hom S3^3 -> S3.
+    phi = np.zeros((3, G.n), dtype=np.int64)
+    phi[0] = np.arange(G.n)
+    assert np.array_equal(check_hom(G, phi), phi)
+    assert len(walks) == 1
 
 
 def test_hom_enumeration_leaves_no_thread_spinning():

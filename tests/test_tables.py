@@ -8,7 +8,8 @@ import pytest
 
 from wordmaplab._tables import (coordinate_columns, product_index,
                                 tuple_index, word_values)
-from wordmaplab.census import translate_counts
+from wordmaplab.census import CHUNK, estimate_solutions, translate_counts
+from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 
 from conftest import loop_tuple_tables
@@ -90,6 +91,19 @@ def test_tables_over_g_d_hold_one_column_at_a_time(d, groups):
     C2, table = groups["C2"], 8 * 2 ** d
     peak = traced_peak(lambda: word_values(parse_word("x1"), C2, d))
     assert peak <= 6 * table, peak / table
+
+
+@pytest.mark.parametrize("d,samples", [(100, 1000), (40, 10000)])
+def test_estimator_holds_its_gated_chunk(d, samples, groups):
+    # The estimator's gate counts 9d cells per sample of a chunk: its three
+    # (3d, chunk) draw buffers.  Over C1 nothing else bounds d.
+    cells = 9 * d * min(CHUNK, samples)
+    peak = traced_peak(lambda: estimate_solutions(
+        parse_word("x1"), groups["C1"], samples, 0, d, cells))
+    assert peak <= 2 * 8 * cells, peak / (8 * cells)
+    with pytest.raises(BudgetExceededError, match="sampled census chunk"):
+        estimate_solutions(parse_word("x1"), groups["C1"], samples, 0, d,
+                           cells - 1)
 
 
 def test_translate_counts_inverts_members_only(groups):
