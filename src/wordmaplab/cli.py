@@ -41,7 +41,7 @@ def _validate(ns: argparse.Namespace) -> None:
     """Range checks on the parsed flags, which are the run configuration."""
     if ns.samples is not None and ns.samples < census.MIN_SAMPLES:
         raise ValueError(f"--samples must be >= {census.MIN_SAMPLES}")
-    for name in ("budget_iter", "budget_hom", "budget_order", "budget_table"):
+    for name in ("budget_iter", "budget_hom", "budget_table"):
         if getattr(ns, name) < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     if not 0 <= ns.seed < 2 ** 64:
@@ -99,7 +99,7 @@ def _theorem_dict(rep: census.TheoremReport) -> dict:
 def _build_group(cfg: argparse.Namespace) -> group.GroupTable:
     if not cfg.group:
         raise ValueError("--group is required for this subcommand")
-    return group.build(cfg.group, cfg.budget_order)
+    return group.build(cfg.group, cfg.budget_table)
 
 
 def _parse_word(cfg: argparse.Namespace):
@@ -264,7 +264,8 @@ def _cmd_fiber_stats(cfg: argparse.Namespace):
 
 def _cmd_hom_search(cfg: argparse.Namespace):
     G = _build_group(cfg)
-    d = _resolve_d(cfg, None, 1, 1)
+    w = None if cfg.word is None else parse_word(cfg.word)
+    d = _resolve_d(cfg, w, 1, 1)
     endos, tuples = homset.homs_power(G, d, cfg.budget_hom)
     results = {
         "group": G.name,
@@ -273,9 +274,7 @@ def _cmd_hom_search(cfg: argparse.Namespace):
         "automorphisms": int(homset._bijective(endos).sum()),
         "homs": len(tuples),
     }
-    if cfg.word is not None:
-        w = _parse_word(cfg)
-        _resolve_d(cfg, w, d, 1)
+    if w is not None:
         rho, phi = homset.best_agreement(
             w, G, d, cfg.budget_hom, cfg.budget_table, homs=(endos, tuples)
         )
@@ -330,8 +329,6 @@ def _make_parser() -> argparse.ArgumentParser:
                    default=errors.DEFAULT_ITER_BUDGET)
     p.add_argument("--budget-hom", type=int,
                    default=errors.DEFAULT_CANDIDATE_BUDGET)
-    p.add_argument("--budget-order", type=int,
-                   default=errors.DEFAULT_ORDER_BUDGET)
     p.add_argument("--budget-table", type=int,
                    default=errors.DEFAULT_TABLE_BUDGET)
     p.add_argument("--format", choices=("json", "text"), default="json")

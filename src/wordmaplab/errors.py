@@ -1,15 +1,16 @@
 """Shared error types, budget defaults and the working-memory block size.
 
-Budgets (group order, candidate counts, iteration counts, table memory) are
-hard limits: exceeding one raises ``BudgetExceededError`` rather than silently
-truncating work, and the CLI maps it to its own exit code.  The defaults
+Budgets (candidate counts, iteration counts, table cells) are hard limits:
+exceeding one raises ``BudgetExceededError`` rather than silently truncating
+work, and the CLI maps it to its own exit code.  The defaults
 below are the only ones: every signature and CLI flag reads them from here.
+A group's Cayley table is n^2 table cells, gated before it is allocated, so
+the default table budget admits orders up to 10,000.
 """
 
-DEFAULT_ORDER_BUDGET = 2000  # group order
 DEFAULT_CANDIDATE_BUDGET = 10_000_000  # endomorphism candidates and homs
 DEFAULT_ITER_BUDGET = 1_000_000_000  # census triples
-DEFAULT_TABLE_BUDGET = 100_000_000  # table entries, not bytes
+DEFAULT_TABLE_BUDGET = 100_000_000  # table cells, the group's n^2 included
 
 # Array cells per block of every blocked step; see ``row_blocks``.
 BLOCK_CELLS = 1 << 17

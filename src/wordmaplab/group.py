@@ -9,9 +9,11 @@ Construction goes through ``build`` with a small spec grammar:
     atom := C<n> | D<n> (order 2n) | S<n> (n<=8) | A<n> (n<=8) | Q8
           | perm:(a b c)(d e), ...   (cycles on points 1..12)
 
-Every constructor output passes the full validation suite (Latin square,
-identity, inverses, associativity).  A table that passes is a group, so
-Lagrange's theorem needs no separate check.
+Every constructor takes a table budget and refuses, before it allocates
+them, the n^2 cells of a table over budget.  Every constructor output passes
+the full validation suite (Latin square, identity, inverses, associativity).
+A table that passes is a group, so Lagrange's theorem needs no separate
+check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_BUDGET, check_budget, row_blocks
+from .errors import DEFAULT_TABLE_BUDGET, check_budget, row_blocks
 
 
 class GroupSpecError(ValueError):
@@ -137,19 +139,19 @@ def _finish(mul, name) -> GroupTable:
     return G
 
 
-def cyclic(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+def cyclic(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     if n < 1:
         raise GroupSpecError("cyclic group needs n >= 1")
-    check_budget(n, budget, f"building C{n}")
+    check_budget(n * n, budget, f"building C{n}")
     ids = np.arange(n, dtype=np.int64)
     return _finish((ids[:, None] + ids) % n, f"C{n}")
 
 
-def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+def dihedral(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     """Dihedral group of order 2n: ids 0..n-1 are r^i, n..2n-1 are s r^i."""
     if n < 1:
         raise GroupSpecError("dihedral group needs n >= 1")
-    check_budget(2 * n, budget, f"building D{n}")
+    check_budget(4 * n * n, budget, f"building D{n}")
     ids = np.arange(n, dtype=np.int64)
     add = (ids[:, None] + ids) % n     # r^i r^j = r^(i+j)
     sub = (ids - ids[:, None]) % n     # r^i (s r^j) = s r^(j-i)
@@ -158,12 +160,12 @@ def dihedral(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     return _finish(mul, f"D{n}")
 
 
-def quaternion(budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+def quaternion(budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     """The quaternion group Q8: id 2u + s is (-1)^s times unit u of 1, i, j, k.
 
     Units multiply as u XOR v up to sign (i j = k, j k = i, k i = j).
     """
-    check_budget(8, budget, "building Q8")
+    check_budget(64, budget, "building Q8")
     # neg[u, v] = 1 where the unit product u v is negative
     neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     u, s = np.arange(8) >> 1, np.arange(8) & 1
@@ -175,7 +177,7 @@ def quaternion(budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
 
 def closure(
     generators: list[tuple],
-    budget: int = DEFAULT_ORDER_BUDGET,
+    budget: int = DEFAULT_TABLE_BUDGET,
     name: str = "",
 ) -> GroupTable:
     """Breadth-first closure of permutation generators.
@@ -203,7 +205,7 @@ def closure(
         new_codes, first = np.unique(codes[fresh], return_index=True)
         if not new_codes.size:
             break
-        check_budget(n + new_codes.size, budget,
+        check_budget((n + new_codes.size) ** 2, budget,
                      f"closure of {name or 'the generators'}")
         level = prods[fresh][np.sort(first)]
         levels.append(level)
@@ -224,7 +226,7 @@ def closure(
     return _finish(mul, name or "perm-closure")
 
 
-def symmetric(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+def symmetric(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     if not 1 <= n <= 8:
         raise GroupSpecError("S n supported for 1 <= n <= 8")
     if n == 1:
@@ -235,7 +237,7 @@ def symmetric(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
     return closure(gens, budget, name=f"S{n}")
 
 
-def alternating(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+def alternating(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     if not 1 <= n <= 8:
         raise GroupSpecError("A n supported for 1 <= n <= 8")
     if n <= 2:
@@ -249,10 +251,10 @@ def alternating(n: int, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
 
 
 def direct_product(A: GroupTable, B: GroupTable,
-                   budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+                   budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     """Componentwise product; id of (a, b) is a * B.n + b, so (0,0) = 0."""
     n = A.n * B.n
-    check_budget(n, budget, f"building {A.name}x{B.name}")
+    check_budget(n * n, budget, f"building {A.name}x{B.name}")
     mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :])
     return _finish(mul.reshape(n, n), f"{A.name}x{B.name}")
 
@@ -307,7 +309,7 @@ def _build_atom(atom: str, budget: int) -> GroupTable:
     return alternating(num, budget)
 
 
-def build(spec: str, budget: int = DEFAULT_ORDER_BUDGET) -> GroupTable:
+def build(spec: str, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     """Build a group from spec text (see module docstring for the grammar)."""
     spec = spec.strip()
     if not spec:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _tables
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
-                     check_budget, check_power, row_blocks)
+                     check_budget, row_blocks)
 from .freeword import Word
 from .group import GroupTable, greedy_generators, power_table
 
@@ -127,9 +127,9 @@ def homs_power(
         raise ValueError("d must be >= 1")
     endos = endomorphisms(G, budget)
     k = len(endos)
-    check_power(k, d, budget, "hom enumeration")
     if d == 1:
         return endos, np.arange(k, dtype=np.int64)[:, None]
+    check_budget(k * k, budget, "hom enumeration")
     pair_ok = _commuting_pairs(G, endos[:, greedy_generators(G)[0]])
     # Row-major order of the admissible prefixes, extended one column at a
     # time, is the product order of the admissible d-tuples.

@@ -8,6 +8,7 @@ from a second, slower direction.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,16 @@ def image_pair_table(G, rows):
                        for B in distinct] for A in distinct], dtype=bool)
     ids = [distinct.index(im) for im in images]
     return table[np.ix_(ids, ids)]
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def hom_value_table(G, comps):

@@ -565,3 +565,38 @@ def test_required_quantities_consistent(groups):
     assert rep.required_pairs == bt.f1 * n ** (2 * d)
     assert rep.required_triples == bt.f1 * bt.f2 * n ** (3 * d)
     assert rep.pair_threshold == bt.f2 * n ** d
+
+
+def test_theorem_on_every_short_word(groups):
+    # Every reduced word of at most 4 letters in at most 2 variables, on
+    # every battery group of order <= 8: the theorem holds, the chain check
+    # runs, and the diagonal triples (s, s, u) give count >= |G|^{2d}.  On
+    # the groups of order <= 7 the census meets an independent count, taken
+    # once per word table, since the census equation reads w only through
+    # its values on G^d.
+    letters = [(var, sign) for var in (1, 2) for sign in (1, -1)]
+    words = {}
+    for length in range(5):
+        for raw in itertools.product(letters, repeat=length):
+            w = reduce(raw)
+            if w.length == length:  # no adjacent x_i x_i^-1 cancelled
+                words[str(w)] = w
+    assert len(words) == 1 + 4 + 4 * 3 + 4 * 9 + 4 * 27
+    cases = 0
+    for spec, G in groups.items():
+        if G.n > 8:
+            continue
+        oracle = {}
+        for w in words.values():
+            d = max(w.arity, 1)
+            rep = verify_theorem(w, G, d)
+            assert rep.passed and "chain" in rep.checks_run, (spec, str(w))
+            count = rep.solutions.count
+            assert count >= G.n ** (2 * d), (spec, str(w))
+            if G.n <= 7:
+                key = (d, word_values(w, G, d).tobytes())
+                if key not in oracle:
+                    oracle[key] = plane_census(w, G, d)
+                assert count == oracle[key], (spec, str(w))
+            cases += 1
+    assert cases == 13 * 161

@@ -307,6 +307,11 @@ def test_usage_errors(capsys):
          "word uses x2 but --d is 1"),
         (["hom-search", "--group", "S3", "--budget-hom", "0"],
          "--budget-hom must be >= 1"),
+        # The word is parsed before the search, which D60 at d = 2 refuses.
+        (["hom-search", "--group", "D60", "--d", "2", "--word", "x1^"],
+         "expected exponent (at position 3)"),
+        (["hom-search", "--group", "D60", "--d", "2", "--word", "x3"],
+         "word uses x3 but --d is 2"),
         (["verify-lemma", "--file", "/nonexistent/family.txt"],
          "[Errno 2] No such file or directory: '/nonexistent/family.txt'"),
         (["verify-lemma", "--fuzz", "-3"], "--fuzz must be >= 0"),
@@ -331,6 +336,9 @@ def test_usage_errors(capsys):
         (["verify-theorem", "--group", "S3", "--word", "x1^2",
           "--workers", "2"],                              # removed flag
          "wordmaplab: error: unrecognized arguments: --workers 2"),
+        (["commuting-probability", "--group", "S3",
+          "--budget-order", "100"],                       # removed flag
+         "wordmaplab: error: unrecognized arguments: --budget-order 100"),
         (["no-such-subcommand"],
          "wordmaplab: error: argument subcommand: invalid choice: "
          "'no-such-subcommand'"),
@@ -350,12 +358,12 @@ FLAGS = {
     "derive-word": ["--word", "x1*x2"],
     "fiber-stats": ["--group", "C4", "--word", "x1^2", "--d", "2"],
     "hom-search": ["--group", "S3", "--word", "x1^2"],
-    "commuting-probability": ["--group", "D4", "--budget-order", "100"],
+    "commuting-probability": ["--group", "D4", "--budget-table", "100"],
 }
 
 CONFIG_KEYS = sorted([
     "subcommand", "group", "word", "d", "e", "exact", "samples", "seed",
-    "budget_iter", "budget_hom", "budget_order", "budget_table", "format",
+    "budget_iter", "budget_hom", "budget_table", "format",
     "out", "fuzz", "family_file", "hom_file",
 ])
 
@@ -438,15 +446,24 @@ def test_unwritable_out(capsys):
 @pytest.mark.parametrize("argv,step,n", [
     (["verify-theorem", "--group", "S3", "--word", "x1^2"], "word table", 6),
     (["fiber-stats", "--group", "S3", "--word", "x1^2"], "word table", 6),
-    (["hom-search", "--group", "S3"], "hom enumeration", 10),
 ])
 def test_huge_exponent_refused(capsys, argv, step, n, d):
     # n^d is refused before it is formed: at d = 10^6 it has too many
     # digits to print, and at d = 10^9 it takes seconds to compute.
     t0 = time.perf_counter()
     assert_stderr(capsys, argv + ["--d", str(d)], 3,
-                  f"budget exceeded: {step} needs {n}^{d}, budget "
-                  f"{10 ** 8 if step == 'word table' else 10 ** 7}")
+                  f"budget exceeded: {step} needs {n}^{d}, budget 100000000")
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("d", [10 ** 6, 10 ** 9])
+def test_huge_d_hom_search_refused(capsys, d):
+    # The tuples of S3's 10 endomorphisms outgrow the hom budget a column
+    # at a time, long before d.
+    t0 = time.perf_counter()
+    assert_stderr(capsys, ["hom-search", "--group", "S3", "--d", str(d)], 3,
+                  "budget exceeded: hom extension needs 15742720, "
+                  "budget 10000000")
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -489,14 +506,14 @@ def test_budget_exit(capsys):
     for argv, line in (
         (["verify-theorem", "--group", "S3", "--word", "x1*x2",
           "--budget-iter", "1000"], "exact census needs 46656, budget 1000"),
-        (["verify-theorem", "--group", "S7", "--word", "x1^2"],
-         "closure of S7 needs 2184, budget 2000"),
-        (["verify-theorem", "--group", "S3", "--word", "x1^2",
-          "--budget-table", "3"], "word table needs 6, budget 3"),
+        (["commuting-probability", "--group", "S8"],
+         "closure of S8 needs 100761444, budget 100000000"),
+        (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "3",
+          "--budget-table", "100"], "word table needs 216, budget 100"),
         (["verify-theorem", "--group", "S4", "--word", "x1*x2", "--d", "2",
           "--budget-hom", "100"], "endomorphism search needs 576, budget 100"),
-        (["hom-search", "--group", "S4", "--d", "6"],
-         "hom enumeration needs 38068692544, budget 10000000"),
+        (["hom-search", "--group", "D60", "--d", "2"],
+         "hom enumeration needs 14776336, budget 10000000"),
         (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "12"],
          "word table needs 2176782336, budget 100000000"),
         (["verify-mann", "--group", "S6", "-e", "2", "--budget-iter", "1000"],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from wordmaplab.group import (
 )
 
 from conftest import (EXTENDED_SPECS, conjugacy_classes, element_orders,
-                      element_power, is_abelian)
+                      element_power, is_abelian, traced_peak)
 
 ORDERS = {
     "C1": 1, "C2": 2, "C6": 6, "C8": 8, "C2xC2": 4, "C2xC4": 8,
@@ -111,16 +112,34 @@ def test_bad_specs():
             build(bad)
 
 
-def test_order_budget():
+def test_table_budget():
+    # The budget counts the n^2 cells of the table, inclusively.
+    assert build("C10", 100).n == 10
+    for spec, budget in (("C10", 99), ("Q8", 63)):
+        with pytest.raises(BudgetExceededError):
+            build(spec, budget)
+    # Closure refuses at the BFS level that takes the table over budget,
+    # and a product before it forms the product table.
+    for spec, line in (
+        ("S8", "closure of S8 needs 100761444, budget 100000000"),
+        ("C101xC100", "building C101xC100 needs 102010000, budget 100000000"),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            build(spec)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(exc.value) == line
+
+
+@pytest.mark.parametrize("spec,n", [("C2000", 2000), ("D1000", 2000),
+                                    ("C40xC50", 2000), ("S6", 720)])
+def test_build_holds_its_gated_table(spec, n):
+    # Building at a budget of exactly n^2 cells holds a few n x n tables
+    # at once; one cell less refuses before anything is allocated.
+    peak = traced_peak(lambda: build(spec, n * n))
+    assert peak <= 3 * 8 * n * n, peak / (8 * n * n)
     with pytest.raises(BudgetExceededError):
-        cyclic(3000)
-    with pytest.raises(BudgetExceededError):
-        build("S7")  # 5040 > 2000
-    with pytest.raises(BudgetExceededError):
-        build("C50xC50")
-    with pytest.raises(BudgetExceededError):
-        quaternion(budget=4)
-    assert cyclic(100, budget=100).n == 100  # budget is inclusive
+        build(spec, n * n - 1)
 
 
 def test_direct_product_layout():

@@ -262,6 +262,35 @@ def test_homs_power_nonabelian_pair_oracle(groups):
     assert len(homs_power(G, 2)[1]) == pairs
 
 
+def count_commuting_tuples(ok, d: int) -> int:
+    """d-tuples of endomorphisms whose images commute pairwise, by plain
+    backtracking over the image pair table ``ok``."""
+    ok = ok.tolist()
+
+    def extend(prefix):
+        if len(prefix) == d:
+            return 1
+        return sum(extend(prefix + [j]) for j in range(len(ok))
+                   if all(ok[i][j] for i in prefix))
+
+    return extend([])
+
+
+@pytest.mark.parametrize("spec,d,homs", [("S4", 6, 16_480), ("A5", 5, 601)])
+def test_hom_counts_beyond_k_to_the_d(spec, d, homs, capsys):
+    # 58^6 and 121^5 tuples exceed the hom budget, but the hom set is small
+    # and the pair table and each extension fit it.  A5 is perfect and its
+    # endomorphisms are the trivial one and 120 automorphisms, so a hom
+    # A5^5 -> A5 is trivial, or an automorphism on one coordinate and
+    # trivial on the rest: 601 = 1 + 120 * 5.
+    assert cli.run(["hom-search", "--group", spec, "--d", str(d)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["homs"]["homs"] \
+        == homs
+    G = build(spec)
+    assert count_commuting_tuples(
+        image_pair_table(G, endomorphisms(G)), d) == homs
+
+
 # Groups whose greedy generator count the pair-table test pins: none, three
 # and four generators.
 GENERATOR_COUNTS = {"C1": 0, "Q8": 3, "C2xC2xC2": 3, "S3xS3": 4}

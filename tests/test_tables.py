@@ -1,6 +1,5 @@
 """The G^d tuple format of ``_tables`` against plain-loop oracles."""
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,7 @@ from wordmaplab.census import CHUNK, estimate_solutions, translate_counts
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 
-from conftest import loop_tuple_tables
+from conftest import loop_tuple_tables, traced_peak
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (6, 2), (5, 3), (24, 2),
@@ -72,16 +71,6 @@ def test_product_index_holds_two_tables(groups):
     peak = traced_peak(lambda: product_index(groups["C3"], 3, members,
                                              members))
     assert peak < 2.5 * cells * 8, peak / (cells * 8)
-
-
-def traced_peak(call) -> int:
-    """Peak bytes that tracemalloc sees while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("d", [8, 12, 16])
