@@ -107,6 +107,15 @@ class CensusResult:
         return self.estimate_mean
 
 
+def _exact_census_gates(n: int, d: int, iter_budget: int,
+                        table_budget: int) -> int:
+    """Refuse an exact census over G^d, |G| = n, that is over budget;
+    return the |G|^{3d} triples it covers."""
+    space = check_power(n, 3 * d, iter_budget, "exact census")
+    check_budget(3 * n ** (2 * d), table_budget, "exact census table")
+    return space
+
+
 def count_solutions_exact(
     w: Word, G: GroupTable, d: int,
     iter_budget: int = DEFAULT_ITER_BUDGET,
@@ -128,9 +137,8 @@ def count_solutions_exact(
     caller already has it.
     """
     n = G.n
-    space = check_power(n, 3 * d, iter_budget, "exact census")
+    space = _exact_census_gates(n, d, iter_budget, table_budget)
     size = n ** d
-    check_budget(3 * size * size, table_budget, "exact census table")
     if wv is None:
         wv = _tables.word_values(w, G, d, table_budget)
     M = G.mul
@@ -304,6 +312,9 @@ def verify_theorem(
     n = G.n
     size = n ** d
     space = size ** 3
+    if samples is None:
+        # The census's gates read only n and d: refuse before the search.
+        _exact_census_gates(n, d, iter_budget, table_budget)
     if hom is None:
         _, hom = best_agreement(w, G, d, hom_budget, table_budget, wv=wv)
     flags = agreement_flags(G, hom, wv)

@@ -266,7 +266,8 @@ def _cmd_hom_search(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = None if cfg.word is None else parse_word(cfg.word)
     d = _resolve_d(cfg, w, 1, 1)
-    endos, tuples = homset.homs_power(G, d, cfg.budget_hom)
+    endos, tuples = homset.homs_power(G, d, cfg.budget_hom,
+                                      cfg.budget_table)
     results = {
         "group": G.name,
         "d": d,
@@ -403,3 +404,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

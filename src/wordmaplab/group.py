@@ -65,10 +65,11 @@ def validate_table(G: GroupTable) -> None:
         (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y).
 
     The generators are found from the table itself: greedily adjoin the
-    smallest element not yet reached, where an element is reached if it is
-    0 g_a g_b ... (right-multiplied from the identity, left to right).  Every
-    reached element is a product of elements of T, so once each generator
-    passes the test, every element lies in T and the table is associative.
+    smallest element not yet reached, where the walk of
+    ``greedy_generators`` reaches an element as a product of generators and
+    elements it reached before.  Every reached element is a product of
+    elements of T, so once each generator passes the test, every element
+    lies in T and the table is associative.
     The check costs O(k n^2) for k generators, and k <= log2 n for a group;
     it compares a block of rows at a time.
     """
@@ -100,35 +101,83 @@ def validate_table(G: GroupTable) -> None:
                 raise ValueError("multiplication is not associative")
 
 
-def greedy_generators(G: GroupTable) -> tuple[list[int], list[tuple]]:
-    """Greedy generators, with the breadth-first levels of the walk that
-    finds them.
+@dataclass(frozen=True, eq=False)
+class CosetWalk:
+    """How the walk of ``greedy_generators`` reaches the subgroup K that
+    one more generator spans with the subgroup H reached before it, one
+    right coset H t at a time.
+
+    ``reps`` are the coset representatives in walk order, reps[0] = 0.  The
+    levels of ``tree`` are pairs of arrays ``(parents, gen_idx)``: level by
+    level, the reps after reps[0] are reps[parents[i]] * gens[gen_idx[i]].
+    Every other product of a rep and a generator is a relation
+    reps[a] * gens[gen_idx] = h * reps[b], with h in H, held as the arrays
+    ``relations = (a, gen_idx, h, b)``.  ``elems`` are the elements of K
+    outside H, elems[i] = h[i] * reps[rep[i]].
+    """
+
+    reps: np.ndarray
+    tree: list[tuple[np.ndarray, np.ndarray]]
+    relations: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    elems: np.ndarray
+    h: np.ndarray
+    rep: np.ndarray
+
+
+def greedy_generators(G: GroupTable) -> tuple[list[int], list[CosetWalk]]:
+    """Greedy generators, with the walk that finds them.
 
     Adjoin the smallest element not yet reached from 0 by right
-    multiplication by the generators so far, until every element is.  Each
-    level of the walk is a triple of arrays ``(elems, parents, gen_idx)``
-    with elems[i] = parents[i] * gens[gen_idx[i]]; every parent is 0 or lies
-    in an earlier level, and the levels hold every element but 0 once.
+    multiplication by the generators so far, until every element is.  After
+    gens[j] is adjoined, the walk multiplies each new coset representative
+    by every generator so far, breadth first, and ``walks[j]`` records it.
+    The cosets it reaches are closed under right multiplication by those
+    generators, so their union is the subgroup <gens[0], ..., gens[j]>.
+    The walk takes one step per product and one per element reached.
     """
-    reached = np.zeros(G.n, dtype=bool)
-    reached[0] = True
+    n, M = G.n, G.mul
+    sub = [0]  # the elements reached so far
     gens: list[int] = []
-    levels = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            # Each product's first occurrence in row-major (frontier
-            # element, generator) order names its parent and generator.
-            nxt, first = np.unique(G.mul[frontier[:, None], gens],
-                                   return_index=True)
-            fresh = ~reached[nxt]
-            row, gen_idx = np.divmod(first[fresh], len(gens))
-            parents, frontier = frontier[row], nxt[fresh]
-            reached[frontier] = True
-            if frontier.size:
-                levels.append((frontier, parents, gen_idx))
-    return gens, levels
+    walks = []
+    while len(sub) < n:
+        coset = [-1] * n  # e = h_of[e] * reps[coset[e]] once reached
+        h_of = [0] * n
+        for e in sub:
+            coset[e], h_of[e] = 0, e
+        gens.append(coset.index(-1))
+        reps, tree, rels, elems = [0], [], [], []
+        start = 0
+        while start < len(reps):
+            level, parents, gen_idx = reps[start:], [], []
+            for a, t in enumerate(level, start):
+                for i, g in enumerate(gens):
+                    u = M.item(t, g)
+                    if coset[u] >= 0:
+                        rels.append((a, i, h_of[u], coset[u]))
+                        continue
+                    for h in sub:
+                        e = M.item(h, u)
+                        # Always true in a group, whose cosets are
+                        # disjoint; ``validate_table`` walks a table
+                        # before it knows that, and counts on reaching
+                        # every element.
+                        if coset[e] < 0:
+                            coset[e], h_of[e] = len(reps), h
+                            elems.append(e)
+                    reps.append(u)
+                    parents.append(a)
+                    gen_idx.append(i)
+            start += len(level)
+            if parents:
+                tree.append((np.array(parents), np.array(gen_idx)))
+        rels = np.array(rels, dtype=np.int64).reshape(-1, 4).T
+        elems = np.array(elems, dtype=np.int64)
+        walks.append(CosetWalk(
+            reps=np.array(reps), tree=tree, relations=tuple(rels),
+            elems=elems, h=np.array(h_of)[elems],
+            rep=np.array(coset)[elems]))
+        sub += elems.tolist()
+    return gens, walks
 
 
 def _finish(mul, name) -> GroupTable:

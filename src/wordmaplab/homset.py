@@ -2,9 +2,9 @@
 
 An endomorphism is its value table, a row of n element ids indexed by
 argument id; ``endomorphisms`` returns them as one (k, n) int64 array.  The
-search assigns images to the greedy generators, and each candidate is
-extended a BFS level at a time along the spanning tree of the walk in
-``group.greedy_generators``.
+search assigns images to the greedy generators one at a time, along the
+chain of subgroups they span, and keeps a candidate when it respects the
+relations of the coset walk in ``group.greedy_generators``.
 Homomorphisms out of a direct power are stored componentwise: a d-tuple of
 endomorphisms whose images commute elementwise, held as d row indices into
 that array.  Every homomorphism G^d -> G arises from exactly one such tuple
@@ -28,7 +28,7 @@ from . import _tables
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_TABLE_BUDGET,
                      check_budget, row_blocks)
 from .freeword import Word
-from .group import GroupTable, greedy_generators, power_table
+from .group import CosetWalk, GroupTable, greedy_generators, power_table
 
 
 def _respects_generators(G: GroupTable, gens: list[int],
@@ -43,33 +43,87 @@ def _respects_generators(G: GroupTable, gens: list[int],
     return vals
 
 
+def _rep_values(G: GroupTable, walk: CosetWalk,
+                img: np.ndarray) -> np.ndarray:
+    """Values phi(t) at the coset reps of ``walk``, one column per
+    candidate, given the images ``img`` of the generators, read along the
+    walk's tree."""
+    vals = np.zeros((len(walk.reps), img.shape[1]), dtype=np.int64)
+    r = 1
+    for parents, gen_idx in walk.tree:
+        vals[r:r + len(parents)] = G.mul.ravel()[vals[parents] * G.n
+                                                 + img[gen_idx]]
+        r += len(parents)
+    return vals
+
+
+def _extend(G: GroupTable, walk: CosetWalk, table: np.ndarray,
+            c: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Value columns on H_j of the kept candidates ``c`` of the stage of
+    ``walk``, with values ``reps`` at its coset reps: prefix c // n of
+    ``table``, extended by phi(h t) = phi(h) phi(t) for h in H_{j-1}."""
+    n = G.n
+    vals = np.take(table, c // n, axis=1)
+    vals[walk.elems] = G.mul.ravel()[vals[walk.h] * n + reps[walk.rep]]
+    return vals
+
+
 def endomorphisms(
-    G: GroupTable, budget: int = DEFAULT_CANDIDATE_BUDGET
+    G: GroupTable, budget: int = DEFAULT_CANDIDATE_BUDGET,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
+    walk: tuple[list[int], list[CosetWalk]] | None = None,
 ) -> np.ndarray:
     """All endomorphisms as a read-only (k, n) table of value rows, in
-    candidate-image order.
+    itertools.product order over the images of the greedy generators
+    g_1, ..., g_k (g_1's image most significant).
 
-    Candidates assign images to the greedy generators g_1, ..., g_k in
-    itertools.product order over element ids (g_1's image most significant).
-    Each block of candidates is decoded, extended a BFS level at a time
-    along the walk of ``greedy_generators`` (every element of a level is its
-    parent times a generator), and kept by ``_respects_generators``.
+    The search goes by stages along the chain H_1 < ... < H_k = G with
+    H_j = <g_1, ..., g_j>, as ``greedy_generators(G)`` walks it (``walk``,
+    when the caller already has it).  Stage j extends each prefix, a hom
+    H_{j-1} -> G, by each image of g_j, in (prefix, image) row-major order,
+    and puts phi(h t) = phi(h) phi(t) for h in H_{j-1} and each coset rep
+    t, with phi(t) read along the walk's tree.  This phi is a hom exactly
+    when it respects every relation t g = h' t' of the walk: then
+    phi(h t g) = phi(h h') phi(t') = phi(h) phi(t) phi(g) = phi(h t) phi(g)
+    for every element h t of H_j and generator g, and the induction of
+    ``_respects_generators`` applies.  So a stage keeps a candidate on its
+    relations alone and fills in its values on H_j afterwards.
+
+    Each stage's candidates count against ``budget``.  Its prefix table
+    and the table of its kept rows, n cells a row, count against
+    ``table_budget`` as the kept rows grow, a block at a time; until the
+    stage ends a kept row holds only its values at the coset reps.
     """
     n = G.n
-    gens, levels = greedy_generators(G)
-    k = len(gens)
-    total = n ** k
-    check_budget(total, budget, "endomorphism search")
-    out = []
-    for lo, hi in row_blocks(total, n):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        images = np.array(list(_tables.coordinate_columns(n, k, idx)))
-        # vals[e, c] = phi_c(e) for candidate c of the block.
-        vals = np.zeros((n, len(idx)), dtype=np.int64)
-        for elems, parents, gen_idx in levels:
-            vals[elems] = G.mul.ravel()[vals[parents] * n + images[gen_idx]]
-        out.append(_respects_generators(G, gens, vals).T)
-    table = np.concatenate(out)
+    gens, walks = greedy_generators(G) if walk is None else walk
+    gens = np.array(gens, dtype=np.int64)
+    # table[e, c]: the value at e of prefix c, 0 off H_{j-1}.  H_0 = 1.
+    table = np.zeros((n, 1), dtype=np.int64)
+    for j, stage in enumerate(walks):
+        p = table.shape[1]
+        check_budget(p * n, budget, "endomorphism search")
+        a, gen_idx, h, b = stage.relations
+        # A candidate reads its prefix at g_1, ..., g_{j-1} and at each h,
+        # and holds about a cell per rep and three per relation.
+        known = table[np.concatenate([gens[:j], h])]
+        keep, kept_reps, kept = [], [], 0
+        for lo, hi in row_blocks(p * n, len(stage.reps) + 3 * len(a)):
+            c = np.arange(lo, hi, dtype=np.int64)
+            vals = np.take(known, c // n, axis=1)
+            img = np.vstack([vals[:j], c % n])
+            reps = _rep_values(G, stage, img)
+            ok = ((G.mul.ravel()[reps[a] * n + img[gen_idx]]
+                   == G.mul.ravel()[vals[j:] * n + reps[b]]).all(axis=0))
+            keep.append(c[ok])
+            kept_reps.append(reps[:, ok])
+            kept += len(keep[-1])
+            check_budget((p + kept) * n, table_budget, "endomorphism table")
+        keep = np.concatenate(keep)
+        reps = np.concatenate(kept_reps, axis=1)
+        table = np.concatenate([
+            _extend(G, stage, table, keep[lo:hi], reps[:, lo:hi])
+            for lo, hi in row_blocks(len(keep), n)], axis=1)
+    table = np.ascontiguousarray(table.T)
     table.flags.writeable = False
     return table
 
@@ -112,7 +166,8 @@ def _bijective(endos: np.ndarray) -> np.ndarray:
 
 
 def homs_power(
-    G: GroupTable, d: int, budget: int = DEFAULT_CANDIDATE_BUDGET
+    G: GroupTable, d: int, budget: int = DEFAULT_CANDIDATE_BUDGET,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All homomorphisms G^d -> G, as commuting d-tuples of endomorphisms.
 
@@ -122,24 +177,37 @@ def homs_power(
     component table ``endos[tuples[i]]``.  Each prefix carries ok, the AND
     of its components' pair-table rows, which marks its admissible next
     columns; a prefix extended by column j carries its parent's ok & row j.
+    A step keeps only its new column and each row's parent prefix; the
+    tuples are read back along the parents once, at the end.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    endos = endomorphisms(G, budget)
+    walk = greedy_generators(G)
+    endos = endomorphisms(G, budget, table_budget, walk)
     k = len(endos)
     if d == 1:
         return endos, np.arange(k, dtype=np.int64)[:, None]
     check_budget(k * k, budget, "hom enumeration")
-    pair_ok = _commuting_pairs(G, endos[:, greedy_generators(G)[0]])
+    pair_ok = _commuting_pairs(G, endos[:, walk[0]])
     # Row-major order of the admissible prefixes, extended one column at a
-    # time, is the product order of the admissible d-tuples.
-    tuples = np.argwhere(pair_ok)
+    # time, is the product order of the admissible d-tuples.  The length-1
+    # prefixes are the endomorphisms themselves, so at d = 2 the parents
+    # are column 0.
+    ok = pair_ok
+    rows, last = np.nonzero(pair_ok)
+    steps = [(rows, last)]
     for c in range(2, d):
-        check_budget(len(tuples) * k * (c + 1), budget, "hom extension")
-        ok = ((ok[rows] if c > 2 else pair_ok[tuples[:, 0]])
-              & pair_ok[tuples[:, -1]])
-        rows, nxt = np.nonzero(ok)
-        tuples = np.column_stack([tuples[rows], nxt])
+        check_budget(len(last) * k * (c + 1), budget, "hom extension")
+        ok = ok[rows] & pair_ok[last]
+        rows, last = np.nonzero(ok)
+        steps.append((rows, last))
+    tuples = np.empty((len(last), d), dtype=np.int64)
+    idx = np.arange(len(last))
+    for c in range(d - 1, 0, -1):
+        rows, last = steps[c - 1]
+        tuples[:, c] = last[idx]
+        idx = rows[idx]
+    tuples[:, 0] = idx
     return endos, tuples
 
 
@@ -212,13 +280,13 @@ def best_agreement(
     histograms and n cells per hom; any other word is compared with every
     hom on all of G^d, n^d cells per hom.  Either route's cells must fit
     ``table_budget``.  ``wv`` is ``_tables.word_values(w, G, d)`` and
-    ``homs`` is ``homs_power(G, d, hom_budget)`` when the caller already
-    has them.
+    ``homs`` is ``homs_power(G, d, hom_budget, table_budget)`` when the
+    caller already has them.
     """
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
     if homs is None:
-        homs = homs_power(G, d, hom_budget)
+        homs = homs_power(G, d, hom_budget, table_budget)
     endos, tuples = homs
     size = G.n ** d
     if d == 2 and len(w.syllables) <= 2:

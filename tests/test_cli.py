@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import time
 import tracemalloc
 import venv
@@ -510,8 +511,14 @@ def test_budget_exit(capsys):
          "closure of S8 needs 100761444, budget 100000000"),
         (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "3",
           "--budget-table", "100"], "word table needs 216, budget 100"),
+        # Stage 2 of the search: 10 images of the first generator (those
+        # x with x^2 = 1) times 24 of the second.
         (["verify-theorem", "--group", "S4", "--word", "x1*x2", "--d", "2",
-          "--budget-hom", "100"], "endomorphism search needs 576, budget 100"),
+          "--budget-hom", "100"], "endomorphism search needs 240, budget 100"),
+        # End(C30xC30) = M_2(Z/30): 30^4 endomorphisms of 900 cells each,
+        # refused once the kept rows of the last stage pass the budget.
+        (["verify-theorem", "--group", "C30xC30", "--word", "x1^2"],
+         "endomorphism table needs 100494000, budget 100000000"),
         (["hom-search", "--group", "D60", "--d", "2"],
          "hom enumeration needs 14776336, budget 10000000"),
         (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "12"],
@@ -542,12 +549,44 @@ def test_trivial_group_beyond_numpy_rank_limit(capsys, argv):
 
 
 def test_trivial_group_hom_search_at_large_d(capsys):
-    # Growing the one hom tuple by a column at a time stays fast at d = 8000.
+    # Each extension step keeps one column and one parent index per row,
+    # and the tuples are read back once, so d steps cost O(d) cells, not
+    # O(d^2) copied prefixes.
     t0 = time.perf_counter()
     code, rep = run_json(capsys, ["hom-search", "--group", "C1",
-                                  "--d", "8000"])
+                                  "--d", "100000"])
     assert time.perf_counter() - t0 < 5.0
     assert code == 0 and rep["results"]["homs"]["homs"] == 1
+
+
+def test_census_gates_come_before_the_hom_search(capsys):
+    # The exact census's gates read only |G|, d and the budgets, so an
+    # over-budget census is refused before the hom search and scoring.
+    # D60 at d = 2 is over the hom budget too; the census line comes first.
+    for argv, line, seconds in (
+        (["verify-theorem", "--group", "C3000", "--word", "x1^2"],
+         "exact census needs 27000000000, budget 1000000000", 2.0),
+        (["verify-theorem", "--group", "D60", "--word", "x1*x2", "--d", "2"],
+         "exact census needs 2985984000000, budget 1000000000", 1.0),
+    ):
+        t0 = time.perf_counter()
+        assert_stderr(capsys, argv, 3, "budget exceeded: " + line)
+        assert time.perf_counter() - t0 < seconds, argv
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # Both module spellings run the command line, in a fresh interpreter.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for module in ("wordmaplab", "wordmaplab.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "commuting-probability",
+             "--group", "S3"], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["results"]["commuting_probability"]
+        assert (res["commuting_probability"], res["conjugacy_classes"]) == \
+            ("1/2", 3)
 
 
 def test_memory_error_exit(capsys, monkeypatch):

@@ -28,22 +28,46 @@ from wordmaplab.homset import (
 
 from conftest import (BATTERY_SPECS, agreement_set, brute_force_endos,
                       expressions, hom_value_table, image_pair_table,
-                      power_agreement_profile)
+                      power_agreement_profile, traced_peak)
 
 
 def assert_walk(G):
-    """The levels of ``greedy_generators`` cover every element but 0 once,
-    each parent lies in an earlier level, and parent * gen is the element.
+    """The walks of ``greedy_generators`` build the chain 1 < H_1 < ... <
+    H_k = G: each gens[j] is the smallest element outside H_{j-1}, each
+    tree level and relation multiplies out, every product of a rep and a
+    generator is a tree edge or a relation once, each new element is h
+    times its rep, and H_j is closed under the generators so far.
     Returns the generators."""
-    gens, levels = greedy_generators(G)
-    seen = np.zeros(G.n, dtype=bool)
-    seen[0] = True
-    for elems, parents, gen_idx in levels:
-        assert seen[parents].all()
-        assert not seen[elems].any() and np.unique(elems).size == elems.size
-        assert (G.mul[parents, np.array(gens)[gen_idx]] == elems).all()
-        seen[elems] = True
-    assert seen.all()
+    gens, walks = greedy_generators(G)
+    M = G.mul
+    sub = np.zeros(G.n, dtype=bool)
+    sub[0] = True
+    assert len(walks) == len(gens)
+    for j, walk in enumerate(walks):
+        assert gens[j] == np.argmin(sub)
+        gen = np.array(gens[:j + 1])
+        reps = walk.reps
+        assert reps[0] == 0
+        pairs, r = [], 1
+        for parents, gen_idx in walk.tree:
+            assert (parents < r).all()
+            assert (M[reps[parents], gen[gen_idx]]
+                    == reps[r:r + len(parents)]).all()
+            pairs += zip(parents.tolist(), gen_idx.tolist())
+            r += len(parents)
+        assert r == len(reps)
+        a, gen_idx, h, b = walk.relations
+        assert sub[h].all()
+        assert (M[reps[a], gen[gen_idx]] == M[h, reps[b]]).all()
+        pairs += zip(a.tolist(), gen_idx.tolist())
+        assert sorted(pairs) == sorted(
+            itertools.product(range(len(reps)), range(j + 1)))
+        assert sub[walk.h].all() and not sub[walk.elems].any()
+        assert np.unique(walk.elems).size == walk.elems.size
+        assert (M[walk.h, reps[walk.rep]] == walk.elems).all()
+        sub[walk.elems] = True
+        assert sub[M[np.flatnonzero(sub)[:, None], gen]].all()
+    assert sub.all()
     return gens
 
 
@@ -185,13 +209,49 @@ def test_endomorphism_digests_pinned():
         assert got == digest, spec
 
 
-@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "C2xC4"])
-def test_endomorphism_order_vs_loop_oracle(spec, groups):
+# Q8, C2xC2xC2 and S3xC2 have three greedy generators, so their search
+# runs three stages.
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "A4", "C2xC4",
+                                  "C2xC2xC2", "S3xC2"])
+def test_endomorphism_order_vs_loop_oracle(spec):
     # best_agreement breaks ties by this order, so it is pinned, not just
     # the set.
-    G = groups[spec]
+    G = build(spec)
     got = [tuple(e) for e in endomorphisms(G).tolist()]
     assert got == loop_endomorphisms(G)
+
+
+# |End| from group theory.  A5 and A6 are simple: an endomorphism is
+# trivial or an automorphism, and |Aut A5| = 120, |Aut A6| = 1440.  S6 has
+# normal subgroups 1, A6 and S6: |Aut S6| = 1440 automorphisms, the sign
+# map onto each of the 75 subgroups of order 2 (15 + 45 + 15 involutions),
+# and the trivial map.  A hom into a direct product is a pair of homs, so
+# |End(S3xS3)| = |Hom(S3^2, S3)|^2 = 22^2, and |End(Q8xS3)| =
+# |Hom(Q8xS3, Q8)| * |Hom(Q8xS3, S3)| = (28 * 2) * 28.
+@pytest.mark.parametrize("spec,count", [
+    ("S3xS3", 484), ("A5", 121), ("Q8xS3", 1568), ("S6", 1516),
+    ("A6", 1441)])
+def test_endomorphism_counts_from_group_theory(spec, count):
+    # None of these groups was in reach of a search over all n^k images
+    # of its greedy generators within the default budget: A6 needs 360^4.
+    endos = endomorphisms(build(spec))
+    assert len(endos) == count
+    assert len({tuple(e) for e in endos.tolist()}) == count
+
+
+@pytest.mark.parametrize("spec,cells", [("C2xC2xC2xC2", 1_114_112),
+                                        ("D4xC2xC2", 4_587_520)])
+def test_endomorphism_table_holds_its_gated_cells(spec, cells):
+    # The gate counts the prefix table and the kept table, n cells a row:
+    # (4096 + 65536) * 16 for C2^4 at its last stage.  Run at exactly that
+    # budget the search holds about two such tables at once; one cell less
+    # refuses before the kept rows are filled.
+    G = build(spec)
+    peak = traced_peak(lambda: endomorphisms(G, table_budget=cells))
+    assert peak <= 3 * 8 * cells, peak / (8 * cells)
+    with pytest.raises(BudgetExceededError, match="^endomorphism table "
+                       f"needs {cells}, budget {cells - 1}$"):
+        endomorphisms(G, table_budget=cells - 1)
 
 
 # From d = 4 on, each prefix carries its pair-table mask over from the prefix
@@ -335,6 +395,18 @@ def test_check_hom_walks_the_group_once(monkeypatch):
     phi[0] = np.arange(G.n)
     assert np.array_equal(check_hom(G, phi), phi)
     assert len(walks) == 1
+
+
+def test_homs_power_walks_the_group_once(monkeypatch):
+    walks = []
+
+    def counted(G):
+        walks.append(G)
+        return greedy_generators(G)
+
+    monkeypatch.setattr(homset, "greedy_generators", counted)
+    endos, tuples = homs_power(build("S3"), 3)
+    assert (len(endos), len(walks)) == (10, 1)
 
 
 def test_hom_enumeration_leaves_no_thread_spinning():
@@ -492,17 +564,22 @@ def test_hom_extension_budget(groups, capsys):
 
 
 def test_scoring_budget(groups, capsys):
-    # Scoring the 10 endomorphisms of S3 against x1^2 on 6 tuples needs 60
-    # cells; the word table alone needs 6.
-    w = parse_word("x1^2")
-    assert best_agreement(w, groups["S3"], 1, table_budget=60)[0] == \
-        Fraction(2, 3)
+    # Scoring the 22 homs S3^2 -> S3 against the commutator on 36 tuples
+    # needs 792 cells; the word table needs 36 and the endomorphism table
+    # 84 (the 4 prefixes and 10 kept rows of the last stage).
+    w = parse_word("x1*x2*x1^-1*x2^-1")
+    assert best_agreement(w, groups["S3"], 2, table_budget=792)[0] == \
+        Fraction(1, 2)
     with pytest.raises(BudgetExceededError):
-        best_agreement(w, groups["S3"], 1, table_budget=59)
-    assert cli.run(["hom-search", "--group", "S3", "--word", "x1^2",
-                    "--budget-table", "59"]) == 3
+        best_agreement(w, groups["S3"], 2, table_budget=791)
+    argv = ["hom-search", "--group", "S3", "--word", str(w), "--d", "2",
+            "--budget-table"]
+    assert cli.run(argv + ["791"]) == 3
     assert capsys.readouterr().err == \
-        "budget exceeded: hom scoring needs 60, budget 59\n"
+        "budget exceeded: hom scoring needs 792, budget 791\n"
+    assert cli.run(argv + ["83"]) == 3
+    assert capsys.readouterr().err == \
+        "budget exceeded: endomorphism table needs 84, budget 83\n"
 
 
 def test_separated_scoring_budget(capsys):
@@ -520,7 +597,8 @@ def test_separated_scoring_budget(capsys):
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
 def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
     # Blocks of 1 and 7 rows in each blocked loop give the same tables as
-    # the default blocks.  A row holds n cells in the candidate search, k
+    # the default blocks.  A row holds n cells in the search's fill (its
+    # scan's rows are narrower, so its blocks are longer), k
     # (endomorphisms) in the pair table, n^2 in the d = 2 gather scoring of
     # the commutator, n in the histogram scoring of x1^2*x2 and d in the
     # commuting-pair check of a hom file.
