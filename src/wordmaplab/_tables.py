@@ -3,8 +3,11 @@
 Tuples (g_1, ..., g_d) over a group of order n are flattened to the index
 g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest; only
 ``coordinate_column`` and ``tuple_index`` convert between the two forms,
-one column at a time.  The exact census and the pair/triple step
-``census.translate_counts`` share one product kernel, ``product_index``.
+one column of given indices at a time.  The exact census and the
+pair/triple step ``census.translate_counts`` share one product kernel,
+``product_index``.  The word table over all of G^d builds no column: viewed
+as an (n^i, n, n^(d-1-i)) array its middle axis is coordinate i+1, so a
+syllable's power values broadcast into it.
 """
 
 from __future__ import annotations
@@ -16,17 +19,12 @@ from .freeword import Word
 from .group import GroupTable, power_table
 
 
-def coordinate_column(n: int, d: int, i: int, idx=None) -> np.ndarray:
-    """Coordinate i+1 of every index in ``idx`` (default: every index of
-    G^d, in index order)."""
-    if idx is None:
-        # Each value repeats n^(d-1-i) times, and the run repeats n^i times.
-        ids = np.arange(n, dtype=np.int64)[:, None]
-        return np.broadcast_to(ids, (n ** i, n, n ** (d - 1 - i))).ravel()
+def coordinate_column(n: int, d: int, i: int, idx) -> np.ndarray:
+    """Coordinate i+1 of every index in ``idx``."""
     return idx // n ** (d - 1 - i) % n
 
 
-def coordinate_columns(n: int, d: int, idx=None):
+def coordinate_columns(n: int, d: int, idx):
     """The d columns of ``coordinate_column``, built one at a time."""
     return (coordinate_column(n, d, i, idx) for i in range(d))
 
@@ -57,16 +55,29 @@ def word_values(w: Word, G: GroupTable, d: int,
     """Evaluate w on every tuple of G^d; returns an array of n^d element ids."""
     if w.arity > d:
         raise ValueError(f"word uses x{w.arity} but d = {d}")
-    size = check_power(G.n, d, budget, "word table")
-    return evaluate_columns(w, G, lambda i: coordinate_column(G.n, d, i), size)
+    n = G.n
+    size = check_power(n, d, budget, "word table")
+    # Viewed as (n^i, n, n^(d-1-i)), the table's middle axis is coordinate
+    # i+1, so a value per element broadcasts along the other two.
+    ids = np.arange(n)[:, None]
+    return evaluate_columns(w, G, lambda i: ids, size,
+                            lambda i: (n ** i, n, n ** (d - 1 - i)))
 
 
-def evaluate_columns(w: Word, G: GroupTable, column, size: int) -> np.ndarray:
-    """Evaluate w at ``size`` assignments at once; column(i) builds the
-    values of x_{i+1}, one per assignment, for each syllable that reads it."""
+def evaluate_columns(w: Word, G: GroupTable, column, size: int,
+                     shape=None) -> np.ndarray:
+    """Evaluate w at ``size`` assignments at once.  column(i) holds the
+    values of x_{i+1}, one per assignment, for each syllable that reads it;
+    with ``shape``, it broadcasts against the assignments viewed as
+    shape(i) instead."""
     vals = np.zeros(size, dtype=np.int64)
-    for var, exp in w.syllables:
+    for k, (var, exp) in enumerate(w.syllables):
+        view = vals if shape is None else vals.reshape(shape(var - 1))
+        powers = power_table(G, exp)[column(var - 1)]
+        if k == 0:  # the identity times x is x: no product to look up
+            view[...] = powers
+            continue
         vals *= G.n  # flat index a*n + b into mul, faster than mul[a, b]
-        vals += power_table(G, exp)[column(var - 1)]
-        vals = G.mul.ravel()[vals]
+        view += powers
+        vals = G.mul.take(vals)  # take reads mul flat
     return vals

@@ -71,7 +71,8 @@ def validate_table(G: GroupTable) -> None:
     elements of T, so once each generator passes the test, every element
     lies in T and the table is associative.
     The check costs O(k n^2) for k generators, and k <= log2 n for a group;
-    it compares a block of rows at a time.
+    it compares a block of rows at a time, as the Latin-square check scans
+    a block of rows, then of columns, at a time.
     """
     n = G.n
     if n < 1:
@@ -83,11 +84,15 @@ def validate_table(G: GroupTable) -> None:
         raise ValueError("inv must have length n")
     if M.min() < 0 or M.max() >= n:
         raise ValueError("mul entries out of range")
-    for axis, lines in ((1, "rows"), (0, "columns")):
-        seen = np.zeros((n, n), dtype=bool)
-        np.put_along_axis(seen, M, True, axis=axis)
-        if not seen.all():
-            raise ValueError(f"mul table is not a Latin square ({lines})")
+    offsets = np.arange(n)[:, None] * n
+    for lines in ("rows", "columns"):
+        for lo, hi in row_blocks(n, n):
+            # line x of the block holds value v: key x*n + v
+            block = M[lo:hi] if lines == "rows" else M[:, lo:hi].T
+            seen = np.zeros(block.size, dtype=bool)
+            seen[block + offsets[:hi - lo]] = True
+            if not seen.all():
+                raise ValueError(f"mul table is not a Latin square ({lines})")
     ids = np.arange(n)
     if not (M[0] == ids).all() or not (M[:, 0] == ids).all():
         raise ValueError("element 0 is not the identity")
@@ -97,7 +102,8 @@ def validate_table(G: GroupTable) -> None:
         for lo, hi in row_blocks(n, n):
             # row x, column y: (x g) y against x (g y)
             block = M[lo:hi]
-            if not np.array_equal(M[block[:, g]], block[:, M[g]]):
+            if not np.array_equal(M.take(block[:, g], axis=0),
+                                  block.take(M[g], axis=1)):
                 raise ValueError("multiplication is not associative")
 
 

@@ -180,7 +180,7 @@ def plane_census(w, G, d):
     size = n ** d
     M, inv = G.mul, G.inv
     wv = word_values(w, G, d)
-    cols = list(coordinate_columns(n, d))
+    cols = list(coordinate_columns(n, d, np.arange(size)))
     rads = [n ** (d - 1 - i) for i in range(d)]  # place values
     # Per-coordinate planes of s^-1 t over (s, t).
     planes = [M[inv[c][:, None], c[None, :]] for c in cols]

@@ -341,6 +341,27 @@ def test_light_test_rejects_large_loop(monkeypatch):
         validate_table(build("C5xC16"))
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_latin_check_reaches_the_last_block(rows, monkeypatch):
+    # C5xC16 has order 80: with 1 or 7 rows per block, the last block holds
+    # row (or column) 79 alone or with 77 and 78.
+    monkeypatch.setattr(errors, "BLOCK_CELLS", rows * 80)
+    G = build("C5xC16")
+    validate_table(G)
+    # Row 79 repeats a value; its columns break too, but rows come first.
+    mul = G.mul.copy()
+    mul[79, 0] = mul[79, 1]
+    with pytest.raises(ValueError, match=r"Latin square \(rows\)"):
+        validate_table(GroupTable(mul=mul, inv=G.inv))
+    # With every row a permutation, defects in the columns come in pairs:
+    # swapping two entries of row 5 breaks exactly columns 78 and 79, which
+    # share the last block unless it holds one line.
+    mul = G.mul.copy()
+    mul[5, [78, 79]] = mul[5, [79, 78]]
+    with pytest.raises(ValueError, match=r"Latin square \(columns\)"):
+        validate_table(GroupTable(mul=mul, inv=G.inv))
+
+
 def test_tables_are_read_only():
     G = build("S3")
     assert not G.mul.flags.writeable

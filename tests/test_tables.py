@@ -1,5 +1,6 @@
 """The G^d tuple format of ``_tables`` against plain-loop oracles."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from wordmaplab.census import CHUNK, estimate_solutions, translate_counts
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.freeword import parse_word
 
-from conftest import loop_tuple_tables, traced_peak
+from conftest import evaluate_word, loop_tuple_tables, traced_peak
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (2, 1), (6, 2), (5, 3), (24, 2),
@@ -28,8 +29,9 @@ def test_tuple_index_round_trip(n, d):
     back = coordinate_columns(n, d, tuple_index(n, rows))
     assert all(np.array_equal(a, b) for a, b in zip(back, rows))
     # Every index of G^d, in index order.
-    assert np.array_equal(tuple_index(n, coordinate_columns(n, d)),
-                          np.arange(n ** d))
+    every = np.arange(n ** d)
+    assert np.array_equal(tuple_index(n, coordinate_columns(n, d, every)),
+                          every)
 
 
 def test_tuple_index_leaves_columns_alone():
@@ -73,13 +75,52 @@ def test_product_index_holds_two_tables(groups):
     assert peak < 2.5 * cells * 8, peak / (cells * 8)
 
 
+# Words whose first syllable is not x1, that reuse or skip a variable, whose
+# syllables cancel to nothing ("x1^3*x1^-3" leaves x2) or whose exponent is a
+# multiple of the group's exponent (x1^4 is 1 on all but C1 of these).
+ORACLE_WORDS = [("x2*x1", 2), ("x2*x1*x2^-1", 2), ("x3^2", 3),
+                ("x2*x1^3*x1^-3", 2), ("x1^-2*x2^-1", 2), ("x1^4*x2^5", 2),
+                ("x3^-1*x1*x2^2*x1^-1*x3", 3), ("x1", 1), ("1", 0), ("1", 2)]
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8", "D4", "C2xC2", "C1"])
+@pytest.mark.parametrize("text,d", ORACLE_WORDS)
+def test_word_values_vs_scalar_oracle(spec, text, d, groups):
+    G, w = groups[spec], parse_word(text)
+    want = [evaluate_word(w, G, t)
+            for t in itertools.product(range(G.n), repeat=d)]
+    assert word_values(w, G, d).tolist() == want
+
+
+def test_word_values_at_large_d(groups):
+    # C1^64 has one tuple; a view of rank d would exceed numpy's rank limit.
+    w = parse_word("x64^-1*x1^2")
+    assert word_values(w, groups["C1"], 64).tolist() == [0]
+
+
+def word_table_peak(text, d, groups):
+    """Peak of the C2 word table at d, in tables of 2^d cells, beyond the
+    peak of the same call over C1, whose table is one cell."""
+    w, table = parse_word(text), 8 * 2 ** d
+    peak = [traced_peak(lambda: word_values(w, groups[spec], d))
+            for spec in ("C1", "C2")]
+    return (peak[1] - peak[0]) / table
+
+
 @pytest.mark.parametrize("d", [8, 12, 16])
 def test_tables_over_g_d_hold_one_column_at_a_time(d, groups):
-    # The word table's gate counts one table of 2^d cells; building all d
-    # coordinate columns at once would hold d + 1 of them.
-    C2, table = groups["C2"], 8 * 2 ** d
-    peak = traced_peak(lambda: word_values(parse_word("x1"), C2, d))
-    assert peak <= 6 * table, peak / table
+    # The word table's gate counts one table of 2^d cells, and x1 holds only
+    # that.  A full coordinate column per syllable would hold a second one,
+    # and all d columns at once d + 1 of them.
+    peak = word_table_peak("x1", d, groups)
+    assert peak <= 1.2, peak
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_word_table_holds_two_tables_per_product(d, groups):
+    # Each product lookup holds the table and its result, and no more.
+    peak = word_table_peak("x3*x1^-1*x2", d, groups)
+    assert peak <= 2.2, peak
 
 
 @pytest.mark.parametrize("d,samples", [(100, 1000), (40, 10000)])
