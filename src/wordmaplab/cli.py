@@ -37,6 +37,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+# The least --d of each subcommand that maps from G^d; 0 elsewhere.
+_D_LEAST = {"verify-theorem": 1, "hom-search": 1}
+
+
 def _validate(ns: argparse.Namespace) -> None:
     """Range checks on the parsed flags, which are the run configuration."""
     if ns.samples is not None and ns.samples < census.MIN_SAMPLES:
@@ -48,8 +52,9 @@ def _validate(ns: argparse.Namespace) -> None:
         raise ValueError("--seed must be an unsigned 64-bit integer")
     if ns.fuzz is not None and ns.fuzz < 0:
         raise ValueError("--fuzz must be >= 0")
-    if ns.d is not None and ns.d < 0:
-        raise ValueError("--d must be >= 0")
+    least = _D_LEAST.get(ns.subcommand, 0)
+    if ns.d is not None and ns.d < least:
+        raise ValueError(f"--d must be >= {least}")
 
 
 def _census_dict(r: census.CensusResult) -> dict:
@@ -108,12 +113,10 @@ def _parse_word(cfg: argparse.Namespace):
     return parse_word(cfg.word)
 
 
-def _resolve_d(cfg: argparse.Namespace, w, default: int, least: int) -> int:
-    """``--d``, or ``default`` when it is not given; refuses a ``--d`` below
-    ``least`` and a word ``w`` that uses more variables."""
+def _resolve_d(cfg: argparse.Namespace, w, default: int) -> int:
+    """``--d``, or ``default`` when it is not given; refuses a word ``w``
+    that uses more variables."""
     d = default if cfg.d is None else cfg.d
-    if d < least:
-        raise ValueError(f"--d must be >= {least}")
     if w is not None and w.arity > d:
         raise ValueError(f"word uses x{w.arity} but --d is {d}")
     return d
@@ -143,7 +146,7 @@ def _load_hom(cfg: argparse.Namespace, G: group.GroupTable,
 def _cmd_verify_theorem(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
-    d = _resolve_d(cfg, w, max(w.arity, 1), 1)
+    d = _resolve_d(cfg, w, max(w.arity, 1))
     hom = _load_hom(cfg, G, d) if cfg.hom_file else None
     rep = census.verify_theorem(
         w, G, d,
@@ -249,7 +252,7 @@ def _cmd_derive_word(cfg: argparse.Namespace):
 def _cmd_fiber_stats(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
-    d = _resolve_d(cfg, w, max(w.arity, 1), 0)
+    d = _resolve_d(cfg, w, max(w.arity, 1))
     st = census.fiber_stats(w, G, d, cfg.budget_table)
     results = {
         "group": G.name,
@@ -265,7 +268,7 @@ def _cmd_fiber_stats(cfg: argparse.Namespace):
 def _cmd_hom_search(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = None if cfg.word is None else parse_word(cfg.word)
-    d = _resolve_d(cfg, w, 1, 1)
+    d = _resolve_d(cfg, w, 1)
     endos, tuples = homset.homs_power(G, d, cfg.budget_hom,
                                       cfg.budget_table)
     results = {

@@ -138,6 +138,8 @@ def check_hom(G: GroupTable, phi) -> np.ndarray:
     gens, _ = greedy_generators(G)
     if _respects_generators(G, gens, phi.T).shape[1] < len(phi):
         raise ValueError("component table is not an endomorphism")
+    if len(phi) == 1:  # no pair to check
+        return phi
     # The first pair i < j in row-major order whose images do not commute.
     bad = np.argwhere(np.triu(~_commuting_pairs(G, phi[:, gens]), 1))
     if len(bad):

@@ -150,6 +150,56 @@ def expressions(G) -> tuple[list[int], list[tuple[int, ...]]]:
     return gens, [words[e] for e in range(G.n)]
 
 
+def validate_table(G) -> None:
+    """Check the group axioms of ``G``'s tables; raise ValueError on the
+    first failure.
+
+    Associativity is decided exactly by Light's test (Clifford and Preston,
+    *Algebraic Theory of Semigroups*, vol. 1, section 1.2).  Let T be the set
+    of t with (x t) y = x (t y) for all x and y.  T holds the identity and is
+    closed under the product: for s, t in T,
+
+        (x (s t)) y = ((x s) t) y = (x s) (t y) = x (s (t y)) = x ((s t) y).
+
+    So it is enough to test a set of elements from which right
+    multiplication reaches every element, starting at 0.  This walk adjoins
+    the smallest element not yet reached and closes the reached set under
+    right multiplication by every element adjoined so far, whole frontiers
+    at a time; it assumes nothing the test has yet to prove.
+    """
+    n = G.n
+    if n < 1:
+        raise ValueError("group order must be >= 1")
+    M, inv = G.mul, G.inv
+    if M.shape != (n, n):
+        raise ValueError("mul table must be square")
+    if inv.shape != (n,):
+        raise ValueError("inv must have length n")
+    if M.min() < 0 or M.max() >= n:
+        raise ValueError("mul entries out of range")
+    ids = np.arange(n)
+    for lines, table in (("rows", M), ("columns", M.T)):
+        if not (np.sort(table, axis=1) == ids).all():
+            raise ValueError(f"mul table is not a Latin square ({lines})")
+    if not (M[0] == ids).all() or not (M[:, 0] == ids).all():
+        raise ValueError("element 0 is not the identity")
+    if not (M[ids, inv] == 0).all() or not (M[inv, ids] == 0).all():
+        raise ValueError("inv table is wrong")
+    reached = ids == 0
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            prods = M[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(prods[~reached[prods]])
+            reached[frontier] = True
+    for g in gens:
+        # row x, column y: (x g) y against x (g y)
+        if not (M.take(M[:, g], axis=0) == M.take(M[g], axis=1)).all():
+            raise ValueError("multiplication is not associative")
+
+
 def naive_census(w, G, d):
     """Solution count of the triple equation by direct double evaluation."""
     n = G.n

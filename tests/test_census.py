@@ -111,6 +111,16 @@ def test_exact_census_matches_plane_oracle(spec, text, d, extended_groups):
     assert count_solutions_exact(w, G, d).count == plane_census(w, G, d)
 
 
+def test_dihedral_square_census_closed_form():
+    # For odd n, the triple equation of x1^2 on D_n at d = 1 has 2n^2(n+3)
+    # solutions: n^3 with no reflection among s, t, u, 3n^2 with one, 3n^2
+    # with two and n^3 with three.
+    w = parse_word("x1^2")
+    for n in range(3, 106, 2):
+        assert count_solutions_exact(w, build(f"D{n}"), 1).count == \
+            2 * n * n * (n + 3), n
+
+
 def relabelled(G, perm):
     """G with element g renamed perm[g]; perm[0] == 0 keeps the identity."""
     p = np.asarray(perm, dtype=np.int64)

@@ -319,11 +319,13 @@ def test_usage_errors(capsys):
         (["verify-theorem", "--group", "S3", "--word", "1", "--d", "0"],
          "--d must be >= 1"),
         (["hom-search", "--group", "S3", "--d", "0"], "--d must be >= 1"),
+        # One refusal text per subcommand, naming its least --d.
         (["verify-theorem", "--group", "S3", "--word", "1", "--d", "-1"],
-         "--d must be >= 0"),
+         "--d must be >= 1"),
         (["fiber-stats", "--group", "S3", "--word", "1", "--d", "-1"],
          "--d must be >= 0"),
-        (["hom-search", "--group", "S3", "--d", "-1"], "--d must be >= 0"),
+        (["hom-search", "--group", "S3", "--d", "-1"], "--d must be >= 1"),
+        (["derive-word", "--word", "x1", "--d", "-1"], "--d must be >= 0"),
         (["fiber-stats", "--group", "S3", "--word", "x1*x2", "--d", "1"],
          "word uses x2 but --d is 1"),
     ]

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wordmaplab import cli, errors
+from wordmaplab import cli
 from wordmaplab.errors import BudgetExceededError
 from wordmaplab.group import (
     GroupSpecError,
@@ -22,11 +24,10 @@ from wordmaplab.group import (
     power_table,
     quaternion,
     symmetric,
-    validate_table,
 )
 
 from conftest import (EXTENDED_SPECS, conjugacy_classes, element_orders,
-                      element_power, is_abelian, traced_peak)
+                      element_power, is_abelian, traced_peak, validate_table)
 
 ORDERS = {
     "C1": 1, "C2": 2, "C6": 6, "C8": 8, "C2xC2": 4, "C2xC4": 8,
@@ -155,8 +156,14 @@ def test_validation_catches_corruption():
     mul = G.mul.copy()
     mul[1, 2] = 1  # duplicates inside a row
     bad = GroupTable(mul=mul, inv=G.inv)
-    with pytest.raises(ValueError, match="Latin"):
+    with pytest.raises(ValueError, match=r"Latin square \(rows\)"):
         validate_table(bad)
+    # Swapping two entries of a row keeps every row a permutation and
+    # breaks exactly the two columns they sit in.
+    mul = G.mul.copy()
+    mul[1, [2, 3]] = mul[1, [3, 2]]
+    with pytest.raises(ValueError, match=r"Latin square \(columns\)"):
+        validate_table(GroupTable(mul=mul, inv=G.inv))
 
     inv = G.inv.copy()
     inv[1] = 1
@@ -261,6 +268,14 @@ def test_spec_tolerates_spaces():
 def _queue_closure(generators):
     """Queue BFS closure of permutation tuples: ids in discovery order, each
     element right-multiplied by every generator in turn, (p q)[i] = p[q[i]]."""
+    elems, index = _queue_elements(generators)
+    mul = [[index[tuple(map(a.__getitem__, b))] for b in elems]
+           for a in elems]
+    return elems, mul
+
+
+def _queue_elements(generators):
+    """The elements of ``_queue_closure`` in id order, and their ids."""
     degree = max((len(g) for g in generators), default=1)
     gens = [tuple(g) + tuple(range(len(g), degree)) for g in generators]
     elems = [tuple(range(degree))]
@@ -274,9 +289,7 @@ def _queue_closure(generators):
             if h not in index:
                 index[h] = len(elems)
                 elems.append(h)
-    mul = [[index[tuple(map(a.__getitem__, b))] for b in elems]
-           for a in elems]
-    return elems, mul
+    return elems, index
 
 
 def _loop_inverses(mul):
@@ -310,6 +323,33 @@ def test_closure_matches_queue_oracle(spec):
     assert G.inv.tolist() == _loop_inverses(mul)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6).flatmap(
+    lambda k: st.permutations(list(range(k)))), min_size=1, max_size=3))
+def test_closure_of_random_generators_is_a_group(generators):
+    # Whatever the generators, the closure is a group of the order that
+    # the queue oracle finds.
+    G = closure([tuple(g) for g in generators])
+    validate_table(G)
+    assert G.n == len(_queue_elements(generators)[0])
+
+
+# Every constructor over a sweep of sizes, and every spec that the
+# acceptance battery or the benchmark builds, against the axiom oracle.
+ORACLE_SPECS = sorted(
+    {f"{kind}{n}" for kind in "CD" for n in range(1, 65)}
+    | {"C1000", "D500", "Q8", "D4" + "xC2" * 8}
+    | {f"{kind}{n}" for kind in "SA" for n in range(1, 7)}
+    | set(EXTENDED_SPECS)
+    | {"C6xS3", "D20", "D16", "S6", "C30xC30", "S4", "C24"}
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_constructors_pass_the_group_oracle(spec):
+    validate_table(build(spec))
+
+
 def test_direct_product_matches_loop_oracle():
     A, B = cyclic(6), symmetric(3)
     G = build("C6xS3")
@@ -318,11 +358,9 @@ def test_direct_product_matches_loop_oracle():
     assert G.inv.tolist() == _loop_inverses(mul)
 
 
-def test_light_test_rejects_large_loop(monkeypatch):
+def test_light_test_rejects_large_loop():
     # The order-5 loop of test_validation_catches_corruption times C16: a
     # non-associative Latin square of order 80 with identity and inverses.
-    # Row 0 (the identity) never fails, so with one row per block a test
-    # that skipped later blocks would pass the loop.
     loop = np.array([
         [0, 1, 2, 3, 4],
         [1, 0, 3, 4, 2],
@@ -334,32 +372,9 @@ def test_light_test_rejects_large_loop(monkeypatch):
     mul = loop[:, None, :, None] * 16 + C.mul[None, :, None, :]
     mul = mul.reshape(80, 80)
     q = GroupTable(mul=mul, inv=np.argmax(mul == 0, axis=1))
-    for cells in (80, 7 * 80, errors.BLOCK_CELLS):
-        monkeypatch.setattr(errors, "BLOCK_CELLS", cells)
-        with pytest.raises(ValueError, match="associative"):
-            validate_table(q)
-        validate_table(build("C5xC16"))
-
-
-@pytest.mark.parametrize("rows", [1, 7])
-def test_latin_check_reaches_the_last_block(rows, monkeypatch):
-    # C5xC16 has order 80: with 1 or 7 rows per block, the last block holds
-    # row (or column) 79 alone or with 77 and 78.
-    monkeypatch.setattr(errors, "BLOCK_CELLS", rows * 80)
-    G = build("C5xC16")
-    validate_table(G)
-    # Row 79 repeats a value; its columns break too, but rows come first.
-    mul = G.mul.copy()
-    mul[79, 0] = mul[79, 1]
-    with pytest.raises(ValueError, match=r"Latin square \(rows\)"):
-        validate_table(GroupTable(mul=mul, inv=G.inv))
-    # With every row a permutation, defects in the columns come in pairs:
-    # swapping two entries of row 5 breaks exactly columns 78 and 79, which
-    # share the last block unless it holds one line.
-    mul = G.mul.copy()
-    mul[5, [78, 79]] = mul[5, [79, 78]]
-    with pytest.raises(ValueError, match=r"Latin square \(columns\)"):
-        validate_table(GroupTable(mul=mul, inv=G.inv))
+    with pytest.raises(ValueError, match="associative"):
+        validate_table(q)
+    validate_table(build("C5xC16"))
 
 
 def test_tables_are_read_only():

@@ -397,6 +397,23 @@ def test_check_hom_walks_the_group_once(monkeypatch):
     assert len(walks) == 1
 
 
+def test_check_hom_at_d1_builds_no_pair_table(monkeypatch):
+    def refused(G, vals):
+        raise AssertionError("pair table built")
+
+    G = build("S3")
+    phi = np.arange(G.n)[None]
+    with monkeypatch.context() as m:
+        m.setattr(homset, "_commuting_pairs", refused)
+        assert np.array_equal(check_hom(G, phi), phi)
+    # Two components still go through the pair table, which names the
+    # first non-commuting pair: two identity components, as S3 is not
+    # abelian.
+    with pytest.raises(ValueError, match="^components 0 and 1 have "
+                       "non-commuting images$"):
+        check_hom(G, np.vstack([phi, phi]))
+
+
 def test_homs_power_walks_the_group_once(monkeypatch):
     walks = []
 
