@@ -25,7 +25,7 @@ from . import _tables
 from .bounds import BoundTriple, commuting_bound, f as bound_triple
 from .errors import (DEFAULT_CANDIDATE_BUDGET, DEFAULT_ITER_BUDGET,
                      DEFAULT_TABLE_BUDGET, BudgetExceededError, check_budget,
-                     check_power)
+                     check_power, row_blocks)
 from .freeword import Word, derived_word, parse_word
 from .group import GroupTable, commuting_probability, power_table
 from .homset import agreement_flags, best_agreement, check_hom
@@ -71,10 +71,23 @@ class FiberStats:
 
 
 def fiber_stats(
-    w: Word, G: GroupTable, d: int, budget: int = DEFAULT_TABLE_BUDGET,
+    w: Word, G: GroupTable, d: int,
+    iter_budget: int = DEFAULT_ITER_BUDGET,
+    table_budget: int = DEFAULT_TABLE_BUDGET,
 ) -> FiberStats:
-    """Fiber sizes of w over G^d."""
-    counts = np.bincount(_tables.word_values(w, G, d, budget), minlength=G.n)
+    """Fiber sizes of w over G^d.
+
+    ``iter_budget`` bounds the n^d evaluations.  The word table is built a
+    block of first coordinates at a time, each block binned and dropped, so
+    ``table_budget`` bounds one block: at most max(BLOCK_CELLS, n^(d-1))
+    cells, gated by ``word_values`` before its first block is built."""
+    n = G.n
+    size = check_power(n, d, iter_budget, "fiber census")
+    width = size // n if d else 1
+    counts = np.zeros(n, dtype=np.int64)
+    for lo, hi in row_blocks(size // width, width):
+        counts += np.bincount(
+            _tables.word_values(w, G, d, table_budget, lo, hi), minlength=n)
     hist: dict[int, int] = {}
     for c in counts.tolist():
         hist[c] = hist.get(c, 0) + 1
@@ -83,7 +96,7 @@ def fiber_stats(
         n=G.n,
         counts=tuple(int(c) for c in counts),
         histogram=hist,
-        max_fiber=Fraction(int(counts.max()), G.n ** d),
+        max_fiber=Fraction(int(counts.max()), size),
     )
 
 

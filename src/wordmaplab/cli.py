@@ -253,7 +253,7 @@ def _cmd_fiber_stats(cfg: argparse.Namespace):
     G = _build_group(cfg)
     w = _parse_word(cfg)
     d = _resolve_d(cfg, w, max(w.arity, 1))
-    st = census.fiber_stats(w, G, d, cfg.budget_table)
+    st = census.fiber_stats(w, G, d, cfg.budget_iter, cfg.budget_table)
     results = {
         "group": G.name,
         "word": str(w),

@@ -151,6 +151,19 @@ def test_fiber_stats(capsys):
     assert rep["results"]["fibers"]["domain_size"] == "1"
 
 
+def test_fiber_stats_table_budget_bounds_one_block(capsys):
+    # --budget-table bounds one block of first coordinates, 6^7 cells at
+    # d = 8, not the 6^8-cell table, so a budget between the two runs.
+    argv = ["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "8"]
+    code, full = run_json(capsys, argv)
+    assert code == 0
+    code, small = run_json(capsys, argv + ["--budget-table", "279936"])
+    assert code == 0
+    assert small["results"] == full["results"]
+    assert full["results"]["fibers"]["histogram"] == {"0": 3, "279936": 2,
+                                                      "1119744": 1}
+
+
 def test_hom_search(capsys):
     code, rep = run_json(capsys, ["hom-search", "--group", "S3",
                                   "--word", "x1^2"])
@@ -448,14 +461,16 @@ def test_unwritable_out(capsys):
 @pytest.mark.parametrize("d", [10 ** 6, 10 ** 9])
 @pytest.mark.parametrize("argv,step,n", [
     (["verify-theorem", "--group", "S3", "--word", "x1^2"], "word table", 6),
-    (["fiber-stats", "--group", "S3", "--word", "x1^2"], "word table", 6),
+    # fiber-stats gates its n^d evaluations before it forms n^(d-1).
+    (["fiber-stats", "--group", "S3", "--word", "x1^2"], "fiber census", 6),
 ])
 def test_huge_exponent_refused(capsys, argv, step, n, d):
     # n^d is refused before it is formed: at d = 10^6 it has too many
     # digits to print, and at d = 10^9 it takes seconds to compute.
+    budget = 10 ** 9 if step == "fiber census" else 10 ** 8
     t0 = time.perf_counter()
     assert_stderr(capsys, argv + ["--d", str(d)], 3,
-                  f"budget exceeded: {step} needs {n}^{d}, budget 100000000")
+                  f"budget exceeded: {step} needs {n}^{d}, budget {budget}")
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -511,8 +526,13 @@ def test_budget_exit(capsys):
           "--budget-iter", "1000"], "exact census needs 46656, budget 1000"),
         (["commuting-probability", "--group", "S8"],
          "closure of S8 needs 100761444, budget 100000000"),
+        # One block of first coordinates: at d = 3 it holds all 6^3 cells.
         (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "3",
           "--budget-table", "100"], "word table needs 216, budget 100"),
+        # At d = 8 a block is one first coordinate, 6^7 cells.
+        (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "8",
+          "--budget-table", "100000"],
+         "word table needs 279936, budget 100000"),
         # Stage 2 of the search: 10 images of the first generator (those
         # x with x^2 = 1) times 24 of the second.
         (["verify-theorem", "--group", "S4", "--word", "x1*x2", "--d", "2",
@@ -524,7 +544,7 @@ def test_budget_exit(capsys):
         (["hom-search", "--group", "D60", "--d", "2"],
          "hom enumeration needs 14776336, budget 10000000"),
         (["fiber-stats", "--group", "S3", "--word", "x1^2", "--d", "12"],
-         "word table needs 2176782336, budget 100000000"),
+         "fiber census needs 2176782336, budget 1000000000"),
         (["verify-mann", "--group", "S6", "-e", "2", "--budget-iter", "1000"],
          "power equation census needs 373248000, budget 1000"),
         # Three (3d, CHUNK) buffers of draws: 9 * 2000 * 8192 cells.

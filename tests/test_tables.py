@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wordmaplab import errors
 from wordmaplab._tables import (coordinate_columns, product_index,
                                 tuple_index, word_values)
-from wordmaplab.census import CHUNK, estimate_solutions, translate_counts
-from wordmaplab.errors import BudgetExceededError
+from wordmaplab.census import (CHUNK, estimate_solutions, fiber_stats,
+                               translate_counts)
+from wordmaplab.errors import BudgetExceededError, row_blocks
 from wordmaplab.freeword import parse_word
 
 from conftest import evaluate_word, loop_tuple_tables, traced_peak
@@ -96,6 +98,68 @@ def test_word_values_at_large_d(groups):
     # C1^64 has one tuple; a view of rank d would exceed numpy's rank limit.
     w = parse_word("x64^-1*x1^2")
     assert word_values(w, groups["C1"], 64).tolist() == [0]
+    assert word_values(w, groups["C1"], 64, lo=0, hi=1).tolist() == [0]
+
+
+BLOCK_WORDS = ["1", "x1", "x1^-2*x2^-1", "x2*x1*x2^-1",
+               "x3^-1*x1*x2^2*x1^-1*x3"]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("spec", ["S3", "Q8", "D4", "C2xC2", "C1"])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_word_value_blocks_join_into_the_table(d, spec, rows, groups,
+                                               monkeypatch):
+    # Blocks of one and seven first coordinates, the latter leaving a short
+    # last block (or one block for the whole table), joined in order.  The
+    # patched block size also splits each product lookup's write-back.
+    G = groups[spec]
+    width = G.n ** max(d - 1, 0)
+    monkeypatch.setattr(errors, "BLOCK_CELLS", rows * width)
+    tuples = list(itertools.product(range(G.n), repeat=d))
+    for w in map(parse_word, BLOCK_WORDS):
+        if w.arity > d:
+            continue
+        blocks = [word_values(w, G, d, lo=lo, hi=hi)
+                  for lo, hi in row_blocks(len(tuples) // width, width)]
+        full = np.concatenate(blocks)
+        assert np.array_equal(full, word_values(w, G, d)), (spec, w, d)
+        assert full.tolist() == [evaluate_word(w, G, t) for t in tuples]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("spec,text,d", [
+    ("S3", "x1^2", 1), ("S3", "x2*x1*x2^-1*x1^-1", 2), ("Q8", "x1^2*x3", 3),
+    ("D4", "x2^-1*x1^3", 2), ("C2xC2", "x1*x2", 2), ("C1", "x3", 3),
+    ("S3", "1", 0)])
+def test_fiber_stats_vs_per_tuple_histogram(spec, text, d, rows, groups,
+                                            monkeypatch):
+    G, w = groups[spec], parse_word(text)
+    monkeypatch.setattr(errors, "BLOCK_CELLS", rows * G.n ** max(d - 1, 0))
+    counts = [0] * G.n
+    for t in itertools.product(range(G.n), repeat=d):
+        counts[evaluate_word(w, G, t)] += 1
+    st = fiber_stats(w, G, d)
+    assert st.counts == tuple(counts)
+    assert st.histogram == {c: counts.count(c) for c in counts}
+    assert st.max_fiber == Fraction(max(counts), G.n ** d)
+
+
+@pytest.mark.parametrize("spec,d", [("C2", 20), ("C16", 5)])
+def test_fiber_stats_holds_one_block(spec, d, extended_groups):
+    # The table of 2^20 cells is binned a block of first coordinates at a
+    # time: over C2 one coordinate, 2^19 cells (four BLOCK_CELLS), and over
+    # C16 two coordinates of 16^4 cells.  Each product lookup adds one
+    # scratch block of BLOCK_CELLS; the whole table is never held.
+    G = extended_groups[spec]
+    block = max(errors.BLOCK_CELLS, G.n ** (d - 1))
+    peak = traced_peak(lambda: fiber_stats(parse_word("x3*x1^-1*x2"), G, d))
+    assert peak <= 1.05 * 8 * (block + errors.BLOCK_CELLS), \
+        peak / (8 * errors.BLOCK_CELLS)
+    with pytest.raises(BudgetExceededError, match="word table"):
+        fiber_stats(parse_word("x1"), G, d, table_budget=block - 1)
+    with pytest.raises(BudgetExceededError, match="fiber census"):
+        fiber_stats(parse_word("x1"), G, d, iter_budget=2 ** 20 - 1)
 
 
 def word_table_peak(text, d, groups):
@@ -116,11 +180,13 @@ def test_tables_over_g_d_hold_one_column_at_a_time(d, groups):
     assert peak <= 1.2, peak
 
 
-@pytest.mark.parametrize("d", [8, 12, 16])
-def test_word_table_holds_two_tables_per_product(d, groups):
-    # Each product lookup holds the table and its result, and no more.
+@pytest.mark.parametrize("d", [20, 21, 22])
+def test_word_table_holds_one_table_and_a_block(d, groups):
+    # Each product lookup is written back into the table a block at a time,
+    # so it holds the table and one block of BLOCK_CELLS.  At d <= 17 one
+    # block is the whole table, so the bound is measured above that.
     peak = word_table_peak("x3*x1^-1*x2", d, groups)
-    assert peak <= 2.2, peak
+    assert peak <= 1.02 + errors.BLOCK_CELLS / 2 ** d, peak
 
 
 @pytest.mark.parametrize("d,samples", [(100, 1000), (40, 10000)])
