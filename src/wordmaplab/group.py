@@ -10,11 +10,16 @@ Construction goes through ``build`` with a small spec grammar:
           | perm:(a b c)(d e), ...   (cycles on points 1..12)
 
 Every constructor takes a table budget and refuses, before it allocates
-them, the n^2 cells of a table over budget.  Every table is a group by
-construction, whatever the input, so none is checked at runtime: C<n>, D<n>
-and Q8 are formulas, a product multiplies two groups componentwise, and a
-closure's table is the Cayley table of the permutation group its generators
-span, filled from exact permutation codes.  The test suite checks the group
+them, the n^2 cells of a table over budget, and writes its table once.
+Every table is a group by construction, whatever the input, so none is
+checked at runtime: C<n>, D<n> and Q8 are formulas, a product multiplies two
+groups componentwise, and a closure's table is the Cayley table of the
+permutation group its generators span.  A closure finds its elements by
+exact permutation codes, and fills its table a BFS level of rows at a time:
+the row of an element found as a g is the row of a, read at the ids of the
+products g b.  Inverses come from formulas too, not from a scan of the
+table: -i mod n, each reflection itself, componentwise in a product, and
+argsort of each permutation in a closure.  The test suite checks the group
 axioms of every constructor's output with an independent oracle.
 """
 
@@ -26,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_TABLE_BUDGET, check_budget
+from .errors import DEFAULT_TABLE_BUDGET, check_budget, row_blocks
 
 
 class GroupSpecError(ValueError):
@@ -130,19 +135,14 @@ def greedy_generators(G: GroupTable) -> tuple[list[int], list[CosetWalk]]:
     return gens, walks
 
 
-def _finish(mul, name) -> GroupTable:
-    """The group with table ``mul``, inverses read off the identity's
-    positions."""
-    mul = np.asarray(mul, dtype=np.int64)
-    return GroupTable(mul=mul, inv=np.argmax(mul == 0, axis=1), name=name)
-
-
 def cyclic(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     if n < 1:
         raise GroupSpecError("cyclic group needs n >= 1")
     check_budget(n * n, budget, f"building C{n}")
     ids = np.arange(n, dtype=np.int64)
-    return _finish((ids[:, None] + ids) % n, f"C{n}")
+    mul = ids[:, None] + ids
+    mul %= n
+    return GroupTable(mul=mul, inv=-ids % n, name=f"C{n}")
 
 
 def dihedral(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
@@ -151,11 +151,17 @@ def dihedral(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
         raise GroupSpecError("dihedral group needs n >= 1")
     check_budget(4 * n * n, budget, f"building D{n}")
     ids = np.arange(n, dtype=np.int64)
-    add = (ids[:, None] + ids) % n     # r^i r^j = r^(i+j)
-    sub = (ids - ids[:, None]) % n     # r^i (s r^j) = s r^(j-i)
-    mul = np.block([[add, n + sub],    # (s r^i)(s r^j) = r^(j-i)
-                    [n + add, sub]])
-    return _finish(mul, f"D{n}")
+    mul = np.empty((2 * n, 2 * n), dtype=np.int64)
+    add, sub = mul[:n, :n], mul[n:, n:]
+    np.add(ids[:, None], ids, out=add)       # r^i r^j = r^(i+j)
+    add %= n
+    np.subtract(ids, ids[:, None], out=sub)  # (s r^i)(s r^j) = r^(j-i)
+    sub %= n
+    np.add(add, n, out=mul[n:, :n])          # (s r^i) r^j = s r^(i+j)
+    np.add(sub, n, out=mul[:n, n:])          # r^i (s r^j) = s r^(j-i)
+    # every reflection is its own inverse
+    return GroupTable(mul=mul, inv=np.concatenate([-ids % n, n + ids]),
+                      name=f"D{n}")
 
 
 def quaternion(budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
@@ -168,7 +174,8 @@ def quaternion(budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
     neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     u, s = np.arange(8) >> 1, np.arange(8) & 1
     mul = 2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ neg[u[:, None], u])
-    return _finish(mul, "Q8")
+    # +-1 are their own inverses; every other unit u has inverse -u
+    return GroupTable(mul=mul, inv=2 * u + (s ^ (u > 0)), name="Q8")
 
 
 # -- permutation machinery (p[i] = image of point i; p q applies q first) ----
@@ -185,43 +192,61 @@ def closure(
     ids are a pure function of the generator list.  The search runs a
     level at a time: the products of one level, in row-major (element,
     generator) order, come in the order in which a queue would meet them, so
-    keeping each new product at its first occurrence gives the same ids.
+    keeping each new product at its first occurrence gives the same ids, and
+    that occurrence names the element's parent a and generator g, a g = e.
+    The table is then filled a level at a time by rows: e b = a (g b).
     """
     degree = max((len(g) for g in generators), default=1)
     gens = np.array([tuple(g) + tuple(range(len(g), degree))
                      for g in generators], dtype=np.int64).reshape(-1, degree)
+    k = len(gens)
     # A permutation's key is its base-degree code; degree <= 12 fits int64.
     weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
     level = np.arange(degree, dtype=np.int64)[None, :]
-    levels = [level]
+    levels, parents, gen_idx = [level], [], []
     known = level @ weights  # sorted codes of every element found so far
     n = 1
     while True:
         prods = level[:, gens].reshape(-1, degree)  # (e g)[i] = e[g[i]]
         codes = prods @ weights
-        fresh = ~np.isin(codes, known)
+        fresh = np.flatnonzero(
+            known.take(np.searchsorted(known, codes), mode="clip") != codes)
         new_codes, first = np.unique(codes[fresh], return_index=True)
         if not new_codes.size:
             break
         check_budget((n + new_codes.size) ** 2, budget,
                      f"closure of {name or 'the generators'}")
-        level = prods[fresh][np.sort(first)]
+        first = fresh[np.sort(first)]
+        parents.append(n - len(level) + first // k)  # the level's ids end at n
+        gen_idx.append(first % k)
+        level = prods[first]
         levels.append(level)
-        known = np.union1d(known, new_codes)
+        known = np.insert(known, np.searchsorted(known, new_codes),
+                          new_codes)
         n += new_codes.size
     elems = np.concatenate(levels)
     codes = elems @ weights
     order = np.argsort(codes)
-    # right[e, j] = id of e g_j.  The search found each b != 0 as parent[b]
-    # g_j at its first occurrence in right, so parent[b] < b, and column b of
-    # the table is a b = (a parent[b]) g_j: one gather per element.
-    right = order[np.searchsorted(codes[order], elems[:, gens] @ weights)]
-    parent, gen = np.divmod(np.unique(right, return_index=True)[1], len(gens))
+
+    def ids(perms):
+        return order[np.searchsorted(known, perms @ weights)]
+
+    left = ids(gens[:, elems])  # left[j, b] = id of g_j b
     mul = np.empty((n, n), dtype=np.int64)
-    mul[:, 0] = np.arange(n)
-    for b in range(1, n):
-        mul[:, b] = right[mul[:, parent[b]], gen[b]]
-    return _finish(mul, name or "perm-closure")
+    mul[0] = np.arange(n)
+    lo = 1
+    for parent, gen in zip(parents, gen_idx):
+        # Reading only the rows above this level, take needs no copy of out.
+        above = mul[:lo].reshape(-1)
+        for i, j in row_blocks(len(parent), n):
+            index = left[gen[i:j]]
+            index += n * parent[i:j, None]
+            np.take(above, index, out=mul[lo + i:lo + j], mode="clip")
+            del index  # so that the next block is not gathered beside it
+        lo += len(parent)
+    # The inverse of a permutation p is argsort(p).
+    return GroupTable(mul=mul, inv=ids(np.argsort(elems, axis=1)),
+                      name=name or "perm-closure")
 
 
 def symmetric(n: int, budget: int = DEFAULT_TABLE_BUDGET) -> GroupTable:
@@ -254,7 +279,9 @@ def direct_product(A: GroupTable, B: GroupTable,
     n = A.n * B.n
     check_budget(n * n, budget, f"building {A.name}x{B.name}")
     mul = (A.mul[:, None, :, None] * B.n + B.mul[None, :, None, :])
-    return _finish(mul.reshape(n, n), f"{A.name}x{B.name}")
+    inv = A.inv[:, None] * B.n + B.inv
+    return GroupTable(mul=mul.reshape(n, n), inv=inv.reshape(n),
+                      name=f"{A.name}x{B.name}")
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
