@@ -13,6 +13,8 @@ adversarial family is a family of cyclic windows of X, one table row each.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,19 +88,28 @@ def _pairs_reaching(sets: np.ndarray, need: int) -> int:
     matrix is never built."""
     # Bit-pack each row, zero-padded to whole 64-bit words, into a (W, I)
     # table: word w of every row is one contiguous row.
-    i_size = sets.shape[0]
+    i_size, x_size = sets.shape
     packed = np.packbits(sets, axis=1)
     buf = np.zeros((i_size, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     buf[:, :packed.shape[1]] = packed
     words = buf.view(np.uint64).T.copy()
+    # Overlap is symmetric, so block [lo, hi) meets only the columns from lo
+    # on: its own square counts once, the columns from hi on twice.  An
+    # overlap is at most |X|, so it is summed in the narrowest unsigned type
+    # that holds |X|.
     count = 0
     for lo, hi in row_blocks(i_size, i_size):
-        acc = np.zeros((hi - lo, i_size), dtype=np.int64)
-        anded = np.empty_like(acc, dtype=np.uint64)
+        shape = (hi - lo, i_size - lo)
+        anded = np.empty(shape, dtype=np.uint64)
+        pops = np.empty(shape, dtype=np.uint8)
+        overlap = np.zeros(shape, dtype=np.min_scalar_type(x_size))
         for word in words:
-            np.bitwise_and(word[lo:hi, None], word[None, :], out=anded)
-            acc += np.bitwise_count(anded)
-        count += int(np.count_nonzero(acc >= need))
+            np.bitwise_and(word[lo:hi, None], word[None, lo:], out=anded)
+            np.bitwise_count(anded, out=pops)
+            overlap += pops
+        reach = overlap >= need
+        count += int(np.count_nonzero(reach[:, :hi - lo])
+                     + 2 * np.count_nonzero(reach[:, hi - lo:]))
     return count
 
 
@@ -219,6 +230,30 @@ def adversarial_families() -> list[FamilyInstance]:
     ]
 
 
+# A sign followed by no digit, which numpy's text reader reads as 0.
+_LONE_SIGN = re.compile(r"[+-](?![0-9])")
+
+
+def _members(line: str, line_no: int, x_size: int) -> np.ndarray:
+    """The member ids on one set line: ASCII decimal integers separated by
+    ASCII whitespace, each in [0, x_size)."""
+    # numpy's text reader reads a blank line as [0].
+    if line.isspace() or (("-" in line or "+" in line)
+                          and _LONE_SIGN.search(line)):
+        raise ValueError(f"line {line_no}: malformed set line")
+    try:
+        members = np.fromstring(line, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning) as exc:
+        raise ValueError(f"line {line_no}: malformed set line") from exc
+    # A token beyond int64 saturates, so this check rejects it too; the
+    # message quotes the token.
+    bad = (members < 0) | (members >= x_size)
+    if bad.any():
+        raise ValueError(
+            f"member index {int(line.split()[bad.argmax()])} out of range")
+    return members
+
+
 def load_family(path, label: str = "",
                 table_budget: int = DEFAULT_TABLE_BUDGET) -> FamilyInstance:
     """Read a family file: a header 'X=<n> I=<m> rho=<num>/<den>', then one
@@ -239,21 +274,15 @@ def load_family(path, label: str = "",
                              "positive)")
         check_budget(x_size * i_size, table_budget, "membership matrix")
         sets = np.zeros((i_size, x_size), dtype=bool)
-        for i in range(i_size):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"expected {i_size} set lines")
-            tokens = line.split()
-            try:
-                members = np.array(tokens, dtype=np.int64)
-            except OverflowError:
-                # A token beyond int64, so out of range: compare Python ints.
-                members = np.array([int(t) for t in tokens], dtype=object)
-            bad = (members < 0) | (members >= x_size)
-            if bad.any():
-                raise ValueError(
-                    f"member index {members[bad.argmax()]} out of range")
-            sets[i, members] = True
+        with warnings.catch_warnings():
+            # numpy releases from before the unmatched-data deprecation
+            # expired warn and return the part they read instead of raising.
+            warnings.simplefilter("error", DeprecationWarning)
+            for i in range(i_size):
+                line = fh.readline()
+                if not line:
+                    raise ValueError(f"expected {i_size} set lines")
+                sets[i, _members(line, i + 2, x_size)] = True
         for line_no, line in enumerate(fh, i_size + 2):
             if line.strip():
                 raise ValueError(

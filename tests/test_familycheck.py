@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -103,15 +104,20 @@ def test_verify_lemma_matches_int64_product():
 
 
 def test_verify_lemma_wide_ground_set():
-    # An overlap of 2**15 does not fit int16; every pair overlaps here and
-    # the threshold is below 1, so all four ordered pairs qualify.
-    x_size = 1 << 15
-    sets = np.zeros((2, x_size), dtype=bool)
-    sets[0] = True
-    sets[1, :2] = True
-    inst = FamilyInstance(x_size=x_size, rho=Fraction(1, 1 << 14),
-                          sets=sets)
-    assert verify_lemma(inst).qualifying_pairs == 4
+    # Overlaps are summed in the narrowest unsigned type that holds |X|:
+    # uint16 up to 2**16 - 1 and uint32 from 2**16, where an overlap of |X|
+    # would wrap a uint16 to 0.  Every pair overlaps here and the threshold
+    # is below 1, so all four ordered pairs qualify; at a threshold of |X|
+    # only the full set's diagonal pair does.
+    for x_size in (1 << 15, (1 << 16) - 1, 1 << 16):
+        sets = np.zeros((2, x_size), dtype=bool)
+        sets[0] = True
+        sets[1, :2] = True
+        inst = FamilyInstance(x_size=x_size, rho=Fraction(1, 1 << 15),
+                              sets=sets)
+        assert verify_lemma(inst).qualifying_pairs == 4
+        assert _pairs_reaching(sets, x_size) == 1
+        assert _pairs_reaching(sets, 2) == 4
 
 
 def random_rows(rng, i_size, x_size):
@@ -129,7 +135,7 @@ def test_pairs_reaching_block_boundaries(monkeypatch, rows_per_block):
     # not only those near f2(rho) |X|.  One row per block, seven (which
     # leaves a short last block) and the default.
     rng = np.random.default_rng(8)
-    for x_size in (1, 63, 64, 65, 129):
+    for x_size in (1, 63, 64, 65, 129, 255, 256):
         for i_size in (1, 2, 13):
             if rows_per_block is not None:
                 monkeypatch.setattr(errors, "BLOCK_CELLS",
@@ -263,7 +269,7 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(again.sets, inst.sets)
 
 
-def test_load_family_errors(tmp_path):
+def test_load_family_errors(tmp_path, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense header\n")
     with pytest.raises(ValueError):
@@ -283,6 +289,46 @@ def test_load_family_errors(tmp_path):
 
     bad.write_text("X=4 I=2 rho=1/2\n0 1\n2 3\n\n  \n")  # trailing blanks
     assert load_family(bad).i_size == 2
+
+    # numpy's text reader reads a blank line as [0], which would be the
+    # valid set {0} at rho = 1/4, and a lone sign as 0.
+    for line in ("", " \t", "0 -", "1 +", "+", "- 1"):
+        bad.write_text(f"X=4 I=2 rho=1/4\n1 2\n{line}\n")
+        with pytest.raises(ValueError, match="line 3: malformed"):
+            load_family(bad)
+
+    # Only ASCII decimal integers separated by ASCII whitespace; Python's
+    # int() spellings (1_0, non-ASCII digits, NBSP) are malformed too.
+    for token in ("x", "1.5", "0x1", "1,2", "--2", "1e3", "1_0", "\u0661",
+                  "1\u00a02", "1\x1c2"):
+        bad.write_text(f"X=20 I=2 rho=1/4\n0 1 2 3 4\n0 1 2 3 4 {token}\n")
+        with pytest.raises(ValueError, match="line 3: malformed"):
+            load_family(bad)
+
+    # A token beyond int64 saturates in the reader; the range check
+    # rejects it.
+    for token in ("9" * 30, "-" + "9" * 30, str(2 ** 63), "-1", "4"):
+        bad.write_text(f"X=4 I=2 rho=1/4\n1 {token}\n2\n")
+        with pytest.raises(ValueError, match="out of range"):
+            load_family(bad)
+
+    # Tabs, vertical tabs, form feeds and signed ids are ASCII whitespace
+    # and decimal integers.
+    bad.write_text("X=4 I=2 rho=1/2\n0\t1\n+2\x0b3\x0c-0\n")
+    assert load_family(bad).sets.tolist() == [[True, True, False, False],
+                                              [True, False, True, True]]
+
+    # numpy releases from before the unmatched-data deprecation expired
+    # warn and return the ids read so far, instead of raising.
+    def fromstring(line, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to "
+                      "unmatched data", DeprecationWarning)
+        return np.array([0], dtype=dtype)
+
+    bad.write_text("X=4 I=1 rho=1/4\n0 x\n")
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    with pytest.raises(ValueError, match="line 2: malformed"):
+        load_family(bad)
 
 
 @st.composite
@@ -313,7 +359,7 @@ def _mutate(text, draw):
     kind is invalid (a garbled line may still parse)."""
     lines = text.splitlines()
     kind = draw(st.sampled_from(["drop", "range", "junk", "header", "huge",
-                                 "extra", "garble"]))
+                                 "extra", "blank", "garble"]))
     row = draw(st.integers(1, len(lines) - 1))
     if kind == "drop":
         del lines[row]
@@ -321,7 +367,8 @@ def _mutate(text, draw):
         lines[row] += " " + str(draw(st.sampled_from([-1, 10 ** 6])))
     elif kind == "junk":
         lines[row] += " " + draw(st.sampled_from(["x", "1.5", "0x1", "--2",
-                                                  "1e3", "½"]))
+                                                  "1e3", "½", "1,2", "-",
+                                                  "+"]))
     elif kind == "header":
         lines[0] = draw(st.sampled_from([
             "", "X=4", "X=a I=2 rho=1/2", "X=4 I=2 rho=3/2", "X=0 I=2 rho=1",
@@ -332,6 +379,8 @@ def _mutate(text, draw):
                                                   str(2 ** 63)]))
     elif kind == "extra":
         lines.append(lines[row])
+    elif kind == "blank":
+        lines[row] = draw(st.sampled_from(["", " ", "\t", " \t "]))
     else:
         lines[row] = draw(st.text(max_size=12))
     return "\n".join(lines) + "\n", kind != "garble"
