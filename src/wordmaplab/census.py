@@ -8,16 +8,18 @@ For a word w of arity <= d over a group G, the census counts triples
 
 either exactly (two histograms over x = s^-1 t, |G|^{2d} work) or by seeded
 uniform sampling.  ``verify_theorem`` glues everything together: it measures
-the best agreement proportion rho* between w and a homomorphism, evaluates
-the exact rational floor f(rho*) |G|^{3d}, and checks the census and the
-intermediate pair/triple counts against it.
+the best agreement proportion rho* between w and a homomorphism, the census
+and the intermediate pair/triple counts, and its report checks them against
+the exact rational floor f(rho*) |G|^{3d}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +49,6 @@ _SQRT_DIGITS = 12
 
 def _sqrt_fraction(q: Fraction) -> Fraction:
     """Deterministic rational sqrt to 12 decimal digits, via integer isqrt."""
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
     scale = 10 ** (2 * _SQRT_DIGITS)
     return Fraction(
         math.isqrt(q.numerator * scale // q.denominator), 10 ** _SQRT_DIGITS
@@ -62,12 +62,19 @@ class FiberStats:
     d: int
     n: int
     counts: tuple[int, ...]        # per target element id
-    histogram: dict[int, int]      # fiber size -> number of target elements
-    max_fiber: Fraction            # largest fiber / |G|^d
 
     @property
     def domain_size(self) -> int:
         return self.n ** self.d
+
+    @property
+    def histogram(self) -> dict[int, int]:
+        """Fiber size -> number of target elements."""
+        return dict(Counter(self.counts))
+
+    @property
+    def max_fiber(self) -> Fraction:
+        return Fraction(max(self.counts), self.domain_size)
 
 
 def fiber_stats(
@@ -88,16 +95,7 @@ def fiber_stats(
     for lo, hi in row_blocks(size // width, width):
         counts += np.bincount(
             _tables.word_values(w, G, d, table_budget, lo, hi), minlength=n)
-    hist: dict[int, int] = {}
-    for c in counts.tolist():
-        hist[c] = hist.get(c, 0) + 1
-    return FiberStats(
-        d=d,
-        n=G.n,
-        counts=tuple(int(c) for c in counts),
-        histogram=hist,
-        max_fiber=Fraction(int(counts.max()), size),
-    )
+    return FiberStats(d=d, n=n, counts=tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,6 @@ class CensusResult:
     space_size: int                # |G|^{3d}
     count: int | None = None       # exact mode
     estimate_mean: Fraction | None = None
-    ci_half_width: Fraction | None = None
     samples: int | None = None
     seed: int | None = None
 
@@ -118,6 +115,14 @@ class CensusResult:
         if self.mode == "exact":
             return Fraction(self.count, self.space_size)
         return self.estimate_mean
+
+    @property
+    def ci_half_width(self) -> Fraction | None:
+        """The sampled mean's 95% half-width (49/25) sqrt(p(1-p)/samples)."""
+        if self.mode == "exact":
+            return None
+        p = self.estimate_mean
+        return Z95 * _sqrt_fraction(p * (1 - p) / self.samples)
 
 
 def _exact_census_gates(n: int, d: int, iter_budget: int,
@@ -179,10 +184,9 @@ def estimate_solutions(
 
     Sample j of chunk i uses draws 3dj..3dj+3d-1 of the SplitMix64 stream
     seeded with derive_seed(seed, i); chunks have the fixed size CHUNK.  The
-    mean is the exact hit fraction; the half-width is the 95% normal
-    approximation z * sqrt(p(1-p)/samples) with z = 49/25 and the square root
-    taken by integer arithmetic, so identical (seed, samples) reproduce the
-    result bit for bit on any platform.  ``wv`` is as in
+    mean is the exact hit fraction, and the result derives its half-width
+    from it, so identical (seed, samples) reproduce the result bit for bit
+    on any platform.  ``wv`` is as in
     ``count_solutions_exact``.  A chunk's draws are held in three (3d, CHUNK)
     buffers, 9d cells per sample, which count against ``table_budget``.
     """
@@ -194,32 +198,31 @@ def estimate_solutions(
     check_budget(9 * d * min(CHUNK, samples), table_budget,
                  "sampled census chunk")
     index = _tables.tuple_index
-    # Flat tables: mul[a*n + b] = ab and quot[a*n + b] = a^-1 b.
+    # In the flat table mul[a*n + b] = ab, a^-1 b is mul[inv_row[a] + b] and
+    # w(s)^-1 w(t) is mul[winv_row[s] + w(t)]: no second n^2 table is built.
     mul = G.mul.ravel()
-    quot = G.mul[G.inv].ravel()
+    inv_row = G.inv * n
+    winv_row = inv_row[wv]
     hits = 0
     # Row j of a chunk holds coordinate j of every sample.
     for cols in randbelow_chunks(seed, n, 3 * d, samples, CHUNK):
         s, t, u = cols[:d], cols[d:2 * d], cols[2 * d:]
         # s^-1 t u, one coordinate per row.
-        stu = quot[s * n + t]
+        stu = inv_row.take(s)
+        stu += t
+        stu = mul[stu]
         stu *= n
         stu += u
         lhs = wv[index(n, mul[stu])]
-        rhs = quot[wv[index(n, s)] * n + wv[index(n, t)]]
+        rhs = winv_row.take(index(n, s))
+        rhs += wv[index(n, t)]
+        rhs = mul[rhs]
         rhs *= n
         rhs += wv[index(n, u)]
         hits += int(np.count_nonzero(lhs == mul[rhs]))
-    mean = Fraction(hits, samples)
-    hw = Z95 * _sqrt_fraction(mean * (1 - mean) / samples)
-    return CensusResult(
-        mode="estimate",
-        space_size=len(wv) ** 3,
-        estimate_mean=mean,
-        ci_half_width=hw,
-        samples=samples,
-        seed=seed,
-    )
+    return CensusResult(mode="estimate", space_size=len(wv) ** 3,
+                        estimate_mean=Fraction(hits, samples),
+                        samples=samples, seed=seed)
 
 
 # -- membership-set statistics over X = G^d ----------------------------------
@@ -271,27 +274,66 @@ def translate_counts(
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Everything verify_theorem measured, with individual pass flags."""
+    """What verify_theorem measured, the pair and triple counts None when
+    that step was refused; the bounds, floors and pass flags derive from it."""
 
     group: str
     word: str
     d: int
     order: int
     s_size: int
-    rho: Fraction
-    bounds: BoundTriple
-    required: Fraction             # f(rho) |G|^{3d}
     solutions: CensusResult
-    pair_threshold: Fraction       # f2(rho) |G|^d
-    required_pairs: Fraction       # f1(rho) |G|^{2d}
-    qualifying_pairs: int | None
-    triples: int | None
-    required_triples: Fraction     # f1 f2 |G|^{3d}, equal to required
-    pass_solutions: bool
-    pass_pairs: bool | None
-    pass_triples: bool | None
-    pass_chain: bool | None        # solutions >= triples (exact mode only)
-    checks_run: tuple[str, ...]
+    qualifying_pairs: int | None = None
+    triples: int | None = None
+
+    @cached_property
+    def rho(self) -> Fraction:
+        return Fraction(self.s_size, self.order ** self.d)
+
+    @cached_property
+    def bounds(self) -> BoundTriple:
+        return bound_triple(self.rho)
+
+    @property
+    def required(self) -> Fraction:
+        """f(rho) |G|^{3d}, the floor of solutions and of triples."""
+        return self.bounds.f * self.order ** (3 * self.d)
+
+    required_triples = required
+
+    @property
+    def pair_threshold(self) -> Fraction:
+        return self.bounds.f2 * self.order ** self.d
+
+    @property
+    def required_pairs(self) -> Fraction:
+        return self.bounds.f1 * self.order ** (2 * self.d)
+
+    @property
+    def pass_solutions(self) -> bool:
+        # count >= f |G|^{3d} exactly when count / |G|^{3d} >= f, so one
+        # comparison of the proportion judges either census.
+        return self.solutions.proportion >= self.bounds.f
+
+    @property
+    def pass_pairs(self) -> bool | None:
+        q = self.qualifying_pairs
+        return None if q is None else q >= self.required_pairs
+
+    @property
+    def pass_triples(self) -> bool | None:
+        return None if self.triples is None else self.triples >= self.required
+
+    @property
+    def pass_chain(self) -> bool | None:  # exact mode only
+        exact = self.triples is not None and self.solutions.mode == "exact"
+        return self.solutions.count >= self.triples if exact else None
+
+    @property
+    def checks_run(self) -> tuple[str, ...]:
+        steps = () if self.triples is None else ("pairs", "triples")
+        chain = () if self.pass_chain is None else ("chain",)
+        return (f"census-{self.solutions.mode}",) + steps + chain
 
     @property
     def passed(self) -> bool:
@@ -308,7 +350,8 @@ def verify_theorem(
     table_budget: int = DEFAULT_TABLE_BUDGET,
     hom: np.ndarray | None = None,
 ) -> TheoremReport:
-    """Measure rho*, evaluate the bound, and check the census against it.
+    """Measure rho*, the census, and the pair and triple counts; the report
+    checks them against the bound.
 
     With ``samples=None`` the census is exact (a budget overrun is an error);
     otherwise it is sampled and the report's census mode says so.  Either
@@ -323,70 +366,23 @@ def verify_theorem(
     # One word table serves the hom scoring, the agreement set and the census.
     wv = _tables.word_values(w, G, d, table_budget)
     n = G.n
-    size = n ** d
-    space = size ** 3
     if samples is None:
         # The census's gates read only n and d: refuse before the search.
         _exact_census_gates(n, d, iter_budget, table_budget)
     if hom is None:
         _, hom = best_agreement(w, G, d, hom_budget, table_budget, wv=wv)
     flags = agreement_flags(G, hom, wv)
-    s_size = int(flags.sum())
-    rho = Fraction(s_size, size)
-    bt = bound_triple(rho)
-    required = bt.f * space
-
-    if samples is None:
-        census = count_solutions_exact(
-            w, G, d, iter_budget, table_budget, wv=wv
-        )
-    else:
-        census = estimate_solutions(
-            w, G, samples, seed, d, table_budget, wv=wv
-        )
-    # count >= f |G|^{3d} exactly when count / |G|^{3d} >= f, so one
-    # comparison of the proportion judges either census.
-    pass_solutions = census.proportion >= bt.f
-    checks = [f"census-{census.mode}"]
-
-    pair_threshold = bt.f2 * size
-    required_pairs = bt.f1 * size * size
-    qual = triples = None
-    pass_pairs = pass_triples = pass_chain = None
+    census = (count_solutions_exact(w, G, d, iter_budget, table_budget, wv=wv)
+              if samples is None else
+              estimate_solutions(w, G, samples, seed, d, table_budget, wv=wv))
+    rep = TheoremReport(group=G.name or f"order-{n}", word=str(w), d=d,
+                        order=n, s_size=int(flags.sum()), solutions=census)
     try:
-        qual, triples = translate_counts(flags, G, d, bt.f2, iter_budget,
-                                         table_budget)
+        qual, triples = translate_counts(flags, G, d, rep.bounds.f2,
+                                         iter_budget, table_budget)
     except BudgetExceededError:
-        pass  # over budget: the report leaves both steps out
-    else:
-        pass_pairs = Fraction(qual) >= required_pairs
-        pass_triples = Fraction(triples) >= required
-        checks += ["pairs", "triples"]
-        if census.mode == "exact":
-            pass_chain = census.count >= triples
-            checks.append("chain")
-
-    return TheoremReport(
-        group=G.name or f"order-{n}",
-        word=str(w),
-        d=d,
-        order=n,
-        s_size=s_size,
-        rho=rho,
-        bounds=bt,
-        required=required,
-        solutions=census,
-        pair_threshold=pair_threshold,
-        required_pairs=required_pairs,
-        qualifying_pairs=qual,
-        triples=triples,
-        required_triples=required,
-        pass_solutions=pass_solutions,
-        pass_pairs=pass_pairs,
-        pass_triples=pass_triples,
-        pass_chain=pass_chain,
-        checks_run=tuple(checks),
-    )
+        return rep  # over budget: the report leaves both steps out
+    return replace(rep, qualifying_pairs=qual, triples=triples)
 
 
 def power_equation_count(
@@ -413,10 +409,17 @@ class CommutingReport:
     group: str
     rho: Fraction
     commuting_probability: Fraction
-    bound: Fraction
     equation_samples: int
     equation_consistent: bool
-    pass_bound: bool
+
+    @cached_property
+    def bound(self) -> Fraction:
+        """The floor eps/(2 - eps) at eps = f(rho)."""
+        return commuting_bound(self.rho)
+
+    @property
+    def pass_bound(self) -> bool:
+        return self.commuting_probability >= self.bound
 
     @property
     def passed(self) -> bool:
@@ -438,8 +441,6 @@ def verify_commuting_corollary(
     x1 x2 (the last coordinate cancels, so u2 is free)."""
     w = Word(((1, 1), (2, 1)))
     rho, _ = best_agreement(w, G, 2, hom_budget, table_budget)
-    cp = commuting_probability(G)
-    bound = commuting_bound(rho)
     m = EQUATION_SAMPLES
     # Columns 1 to 6 hold s1, s2, t1, t2, u1, u2.
     cols = randbelow_rows(seed, [G.n] * 6, m).T
@@ -450,11 +451,6 @@ def verify_commuting_corollary(
                      derived_word(w)))
     ok = bool(((lhs == rhs) == (v == 0)).all())
     return CommutingReport(
-        group=G.name or f"order-{G.n}",
-        rho=rho,
-        commuting_probability=cp,
-        bound=bound,
-        equation_samples=m,
-        equation_consistent=ok,
-        pass_bound=cp >= bound,
-    )
+        group=G.name or f"order-{G.n}", rho=rho,
+        commuting_probability=commuting_probability(G),
+        equation_samples=m, equation_consistent=ok)

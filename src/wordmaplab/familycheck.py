@@ -16,7 +16,7 @@ import math
 import re
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -66,15 +66,21 @@ class FamilyInstance:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Exact pair census for one instance."""
+    """Exact pair census for one instance; its floors derive from rho, |X|."""
 
     label: str
     x_size: int
     i_size: int
     rho: Fraction
-    overlap_threshold: Fraction    # f2(rho) |X|
     qualifying_pairs: int
-    required_pairs: Fraction       # f1(rho) |X|^2
+
+    @property
+    def overlap_threshold(self) -> Fraction:
+        return f2(self.rho) * self.x_size
+
+    @property
+    def required_pairs(self) -> Fraction:
+        return f1(self.rho) * self.x_size ** 2
 
     @property
     def passed(self) -> bool:
@@ -115,20 +121,12 @@ def _pairs_reaching(sets: np.ndarray, need: int) -> int:
 
 def verify_lemma(inst: FamilyInstance) -> LemmaReport:
     """Count ordered index pairs whose overlap reaches f2(rho) |X|."""
-    rho = inst.rho
-    thr = f2(rho) * inst.x_size
-    # Overlaps are integers, so one reaches thr exactly when it reaches
-    # ceil(thr).
-    qualifying = _pairs_reaching(inst.sets, math.ceil(thr))
-    return LemmaReport(
-        label=inst.label,
-        x_size=inst.x_size,
-        i_size=inst.i_size,
-        rho=rho,
-        overlap_threshold=thr,
-        qualifying_pairs=qualifying,
-        required_pairs=f1(rho) * inst.x_size ** 2,
-    )
+    rep = LemmaReport(label=inst.label, x_size=inst.x_size,
+                      i_size=inst.i_size, rho=inst.rho, qualifying_pairs=0)
+    # Overlaps are integers, so one reaches the report's threshold exactly
+    # when it reaches its ceiling.
+    return replace(rep, qualifying_pairs=_pairs_reaching(
+        inst.sets, math.ceil(rep.overlap_threshold)))
 
 
 def random_family(

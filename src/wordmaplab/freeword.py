@@ -149,7 +149,7 @@ def parse_word(text: str) -> Word:
 
     def read_uint(j, what):
         start = j
-        while j < n and text[j].isdigit():
+        while j < n and text[j].isdecimal():
             j += 1
         if j == start:
             raise WordParseError(f"expected {what}", start)

@@ -152,8 +152,13 @@ def _commuting_pairs(G: GroupTable, vals: np.ndarray) -> np.ndarray:
     """ok[i, j]: the images of endomorphisms i and j commute, given the
     (k, g) table ``vals`` of their values at the greedy generators.  Those
     values generate each image, so cent[i] marks the centralizer of image i,
-    and ok[i, j] asks that it holds row j's values, a block at a time."""
-    cent = (G.mul == G.mul.T)[vals].all(axis=1)
+    and ok[i, j] asks that it holds row j's values.  Both tables are built a
+    block of rows at a time, the commute table on the distinct values only."""
+    ids, pos = np.unique(vals, return_inverse=True)
+    commute = np.empty((len(ids), G.n), dtype=bool)
+    for lo, hi in row_blocks(len(ids), G.n):
+        commute[lo:hi] = G.mul[ids[lo:hi]] == G.mul[:, ids[lo:hi]].T
+    cent = commute[pos.reshape(vals.shape)].all(axis=1)
     ok = np.empty((len(vals), len(vals)), dtype=bool)
     for lo, hi in row_blocks(len(vals), len(vals)):
         ok[lo:hi] = cent[lo:hi, vals.T].all(axis=1)

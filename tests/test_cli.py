@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -339,6 +340,10 @@ def test_usage_errors(capsys):
          "--d must be >= 0"),
         (["hom-search", "--group", "S3", "--d", "-1"], "--d must be >= 1"),
         (["derive-word", "--word", "x1", "--d", "-1"], "--d must be >= 0"),
+        (["derive-word", "--word", "x²"],
+         "expected variable index (at position 1)"),
+        (["derive-word", "--word", "x1^²"],
+         "expected exponent (at position 3)"),
         (["fiber-stats", "--group", "S3", "--word", "x1*x2", "--d", "1"],
          "word uses x2 but --d is 1"),
     ]
@@ -420,8 +425,8 @@ def test_refused_flag_values(capsys, extra):
 
 
 def test_verify_lemma_failure_report(capsys, monkeypatch):
-    # No known family fails the lemma, so raise one instance's requirement
-    # past its pair count.
+    # No known family fails the lemma, so drop one instance's pair count
+    # just below its requirement, which the report derives from rho and |X|.
     verify_lemma = cli.familycheck.verify_lemma
     failed = []
 
@@ -429,7 +434,7 @@ def test_verify_lemma_failure_report(capsys, monkeypatch):
         rep = verify_lemma(inst)
         if not failed:
             rep = dataclasses.replace(
-                rep, required_pairs=Fraction(rep.qualifying_pairs + 1))
+                rep, qualifying_pairs=math.ceil(rep.required_pairs) - 1)
             failed.append(rep.label)
         return rep
 
@@ -446,7 +451,8 @@ def test_verify_lemma_failure_report(capsys, monkeypatch):
         "qualifying_pairs", "required_pairs", "pass"])
     assert entry["label"] == failed[0]
     assert entry["pass"] is False
-    assert entry["required_pairs"] == f"{int(entry['qualifying_pairs']) + 1}/1"
+    required = Fraction(entry["required_pairs"])
+    assert int(entry["qualifying_pairs"]) == math.ceil(required) - 1
 
 
 def test_unwritable_out(capsys):

@@ -52,6 +52,18 @@ def test_parse_errors_carry_position():
         assert exc.value.position >= 0
 
 
+def test_superscript_digits_are_not_numbers():
+    # str.isdigit accepts superscripts, which int() rejects; a number is a
+    # run of decimal digits, so each text stops where its number should
+    # start.
+    for text, position, what in (("x²", 1, "variable index"),
+                                 ("x1^²", 3, "exponent")):
+        with pytest.raises(WordParseError,
+                           match=f"^expected {what} ") as exc:
+            parse_word(text)
+        assert exc.value.position == position
+
+
 def test_str_parse_fixed_point():
     for w in seeded_words(200, 12, 4):
         assert parse_word(str(w)) == w

@@ -397,6 +397,19 @@ def test_check_hom_walks_the_group_once(monkeypatch):
     assert len(walks) == 1
 
 
+def test_check_hom_holds_no_commute_table():
+    # The pair check builds the commute table only on the rows of the
+    # components' distinct values at the greedy generators.  The n^2 table,
+    # one byte a cell, would be an eighth of the int64 Cayley table; the
+    # check holds under a quarter of that.
+    G = build("D1000")
+    phi = np.zeros((2, G.n), dtype=np.int64)
+    phi[0] = np.arange(G.n)
+    for hom in (phi, phi[::-1], np.zeros_like(phi)):
+        peak = traced_peak(lambda: check_hom(G, hom))
+        assert peak <= G.n ** 2 / 4, peak / (8 * G.n ** 2)
+
+
 def test_check_hom_at_d1_builds_no_pair_table(monkeypatch):
     def refused(G, vals):
         raise AssertionError("pair table built")
@@ -615,7 +628,8 @@ def test_separated_scoring_budget(capsys):
 def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
     # Blocks of 1 and 7 rows in each blocked loop give the same tables as
     # the default blocks.  A row holds n cells in the search's fill (its
-    # scan's rows are narrower, so its blocks are longer), k
+    # scan's rows are narrower, so its blocks are longer) and in the
+    # commute table of the pair table's distinct values, k
     # (endomorphisms) in the pair table, n^2 in the d = 2 gather scoring of
     # the commutator, n in the histogram scoring of x1^2*x2 and d in the
     # commuting-pair check of a hom file.
@@ -623,6 +637,8 @@ def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
     cases = [(G.n ** 2, parse_word("x1*x2*x1^-1*x2^-1")),
              (G.n, parse_word("x1^2*x2"))]
     endos = endomorphisms(G)
+    vals = endos[:, greedy_generators(G)[0]]
+    pairs = _commuting_pairs(G, vals)
     homs = homs_power(G, 2)
     best = [best_agreement(w, G, 2) for _, w in cases]
     # Components 1 and 2 are the identity of a nonabelian group; component
@@ -635,6 +651,7 @@ def test_block_boundaries(spec, groups, monkeypatch, tmp_path, capsys):
     for rows in (1, 7):
         monkeypatch.setattr(errors, "BLOCK_CELLS", rows * G.n)
         assert np.array_equal(endomorphisms(G), endos)
+        assert np.array_equal(_commuting_pairs(G, vals), pairs)
         monkeypatch.setattr(errors, "BLOCK_CELLS", rows * len(endos))
         got = homs_power(G, 2)
         assert all(np.array_equal(a, b) for a, b in zip(got, homs))

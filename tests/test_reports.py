@@ -13,6 +13,11 @@ import pytest
 
 import wordmaplab.cli as cli
 
+# The --hom case reads this file from the test's working directory: S3's
+# identity and trivial endomorphism, whose images commute.
+HOM_FILE = "hom-S3-d2.json"
+HOM_COMPONENTS = [list(range(6)), [0] * 6]
+
 REPORT_DIGESTS = [
     (["verify-theorem", "--group", "S3", "--word", "x1^2"],
      "3d9c674e4347f87c53fb8722e878adc0e9b4e7fc002185d070ae9a707d6384b8"),
@@ -29,6 +34,14 @@ REPORT_DIGESTS = [
     (["verify-theorem", "--group", "A4", "--word", "x1^2*x2^3", "--d", "2",
       "--samples", "8193", "--seed", "1"],
      "1416eb5c75b8d5e9bcb642de2fc427d1eef5dfaf82884eb6a5637919204b06b9"),
+    # A non-abelian group sampled at d = 1.
+    (["verify-theorem", "--group", "S4", "--word", "x1^3",
+      "--samples", "20000", "--seed", "3"],
+     "57b7aa7c1f3351ea2772713288340864e8fc2bf93b54b38c115b398be958b595"),
+    # A given hom at d = 2, scored instead of searched for.
+    (["verify-theorem", "--group", "S3", "--word", "x1*x2", "--d", "2",
+      "--hom", HOM_FILE],
+     "684e5445db3812b3a2f2edc83238544ab24609385165df65fc05cc583158ab14"),
     (["verify-theorem", "--group", "S1", "--word", "x1^2"],
      "949299586cf1857cdc7abadb34dd602d70d69b243bb46632289ee8343df660ad"),
     (["hom-search", "--group", "perm:(1 2 3)(4 5),(1 4)", "--word", "x1^2"],
@@ -50,7 +63,10 @@ REPORT_DIGESTS = [
 
 @pytest.mark.parametrize("argv,digest", REPORT_DIGESTS,
                          ids=[" ".join(argv) for argv, _ in REPORT_DIGESTS])
-def test_report_digest(capsys, argv, digest):
+def test_report_digest(capsys, monkeypatch, tmp_path, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / HOM_FILE).write_text(json.dumps(
+        {"components": HOM_COMPONENTS}))
     assert cli.run(argv) == 0
     rep = json.loads(capsys.readouterr().out)
     body = json.dumps({"results": rep["results"], "pass": rep["pass"]},

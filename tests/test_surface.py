@@ -1,6 +1,6 @@
 """Surface guards: every function or class in the package serves a caller,
-every exported name resolves, and one module owns the working-memory block
-size.
+every exported name resolves, one module owns the working-memory block
+size, and every report record stores only what its step measured.
 
 Each module-level function or class of ``src/wordmaplab``, public or
 private, must be named somewhere in ``src/`` outside its own definition (so
@@ -13,9 +13,14 @@ those belong in ``tests/conftest.py``.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import re
+from functools import cached_property
 from pathlib import Path
+
+from wordmaplab import (CensusResult, CommutingReport, FiberStats,
+                        LemmaReport, TheoremReport)
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wordmaplab"
@@ -95,3 +100,37 @@ def test_block_size_lives_in_errors():
                   f"wordmaplab.{mod}".removesuffix(".__init__")))
               if name.endswith("BLOCK_CELLS")]
     assert owners == ["errors.BLOCK_CELLS"]
+
+
+# Each record's stored fields, then the names it derives from them.
+REPORT_FIELDS = {
+    TheoremReport: (
+        ("group", "word", "d", "order", "s_size", "solutions",
+         "qualifying_pairs", "triples"),
+        ("rho", "bounds", "required", "required_triples", "pair_threshold",
+         "required_pairs", "pass_solutions", "pass_pairs", "pass_triples",
+         "pass_chain", "checks_run", "passed")),
+    CensusResult: (
+        ("mode", "space_size", "count", "estimate_mean", "samples", "seed"),
+        ("proportion", "ci_half_width")),
+    FiberStats: (("d", "n", "counts"),
+                 ("domain_size", "histogram", "max_fiber")),
+    CommutingReport: (
+        ("group", "rho", "commuting_probability", "equation_samples",
+         "equation_consistent"),
+        ("bound", "pass_bound", "passed")),
+    LemmaReport: (
+        ("label", "x_size", "i_size", "rho", "qualifying_pairs"),
+        ("overlap_threshold", "required_pairs", "passed")),
+}
+
+
+def test_reports_store_only_what_was_measured():
+    # A floor, threshold or verdict stored beside the counts it comes from
+    # could disagree with them; each is a property instead.
+    for cls, (stored, derived) in REPORT_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == stored, cls
+        assert all(isinstance(vars(cls).get(name),
+                              (property, cached_property))
+                   for name in derived), cls
+    assert sum(len(stored) for stored, _ in REPORT_FIELDS.values()) == 27

@@ -13,6 +13,7 @@ from wordmaplab.census import (CHUNK, estimate_solutions, fiber_stats,
                                translate_counts)
 from wordmaplab.errors import BudgetExceededError, row_blocks
 from wordmaplab.freeword import parse_word
+from wordmaplab.group import build
 
 from conftest import evaluate_word, loop_tuple_tables, traced_peak
 
@@ -200,6 +201,16 @@ def test_estimator_holds_its_gated_chunk(d, samples, groups):
     with pytest.raises(BudgetExceededError, match="sampled census chunk"):
         estimate_solutions(parse_word("x1"), groups["C1"], samples, 0, d,
                            cells - 1)
+
+
+def test_estimator_holds_no_quotient_table():
+    # Quotients a^-1 b are read from the product table through rows of
+    # inverses, so the estimator holds its chunk buffers and no second n^2
+    # table beside the group's.
+    G = build("D501")
+    peak = traced_peak(lambda: estimate_solutions(
+        parse_word("x1^2"), G, 100_000, 0, 1))
+    assert peak <= 8 * G.n ** 2 / 4, peak / (8 * G.n ** 2)
 
 
 def test_translate_counts_inverts_members_only(groups):
