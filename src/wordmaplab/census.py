@@ -198,11 +198,10 @@ def estimate_solutions(
     check_budget(9 * d * min(CHUNK, samples), table_budget,
                  "sampled census chunk")
     index = _tables.tuple_index
-    # In the flat table mul[a*n + b] = ab, a^-1 b is mul[inv_row[a] + b] and
-    # w(s)^-1 w(t) is mul[winv_row[s] + w(t)]: no second n^2 table is built.
+    # In the flat table mul[a*n + b] = ab, a^-1 b is mul[inv_row[a] + b]:
+    # beside the word table, no table of n^2 or n^d cells is built.
     mul = G.mul.ravel()
     inv_row = G.inv * n
-    winv_row = inv_row[wv]
     hits = 0
     # Row j of a chunk holds coordinate j of every sample.
     for cols in randbelow_chunks(seed, n, 3 * d, samples, CHUNK):
@@ -214,7 +213,7 @@ def estimate_solutions(
         stu *= n
         stu += u
         lhs = wv[index(n, mul[stu])]
-        rhs = winv_row.take(index(n, s))
+        rhs = inv_row.take(wv.take(index(n, s)))
         rhs += wv[index(n, t)]
         rhs = mul[rhs]
         rhs *= n
@@ -382,7 +381,9 @@ def verify_theorem(
                                          iter_budget, table_budget)
     except BudgetExceededError:
         return rep  # over budget: the report leaves both steps out
-    return replace(rep, qualifying_pairs=qual, triples=triples)
+    out = replace(rep, qualifying_pairs=qual, triples=triples)
+    out.__dict__["bounds"] = rep.bounds  # replace drops the cached f(rho)
+    return out
 
 
 def power_equation_count(

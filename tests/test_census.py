@@ -393,6 +393,27 @@ def test_translate_gate_boundary(groups):
                        samples=1000, table_budget=288)
 
 
+@pytest.mark.parametrize("iter_budget", [None, 10])
+def test_verify_theorem_computes_bound_once(groups, monkeypatch,
+                                            iter_budget):
+    # The report's f(rho) serves the pair step and every floor and verdict
+    # read after it, whether that step runs or is refused.
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return bound_triple(rho)
+
+    monkeypatch.setattr(census, "bound_triple", counted)
+    budgets = {} if iter_budget is None else {"iter_budget": iter_budget}
+    G = groups["S3"]
+    rep = verify_theorem(parse_word("x1^2"), G, 1,
+                         hom=endomorphisms(G)[[0]], samples=1000, **budgets)
+    assert (rep.triples is None) == (iter_budget is not None)
+    rep.passed, rep.required, rep.pair_threshold, rep.required_pairs
+    assert len(calls) == 1
+
+
 def test_exact_census_table_gate(groups):
     # The census holds three |G|^{2d} tables at once: 3 * 36 = 108 at d = 1.
     w = parse_word("x1^2")

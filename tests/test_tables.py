@@ -213,6 +213,20 @@ def test_estimator_holds_no_quotient_table():
     assert peak <= 8 * G.n ** 2 / 4, peak / (8 * G.n ** 2)
 
 
+@pytest.mark.parametrize("name,d", [("D501", 2), ("C2", 20)])
+def test_estimator_holds_no_word_sized_table(name, d):
+    # At d >= 2 the word table has n^d cells, as many as the product table
+    # or far more; w(s)^-1 is read per sample, so beside the given word
+    # table the estimator holds its gated chunk buffers and no table of
+    # that size.
+    G, w, samples = build(name), parse_word("x1^2"), 1_000
+    wv = word_values(w, G, d)
+    peak = traced_peak(lambda: estimate_solutions(w, G, samples, 0, d,
+                                                  wv=wv))
+    chunk = 8 * 9 * d * samples
+    assert peak <= chunk + wv.nbytes / 4, (peak - chunk) / wv.nbytes
+
+
 def test_translate_counts_inverts_members_only(groups):
     # The step holds its two quotient histograms over G^d, two tables of
     # 2^16 cells; inverting every tuple of G^d would add a third.
