@@ -245,7 +245,10 @@ def translate_counts(
     valid u form S ∩ (t^-1 s) S, of size c((s^-1 t)^-1), and swapping y and
     z shows c(g^-1) = c(g), so triples is the dot product p . c.
     ``iter_budget`` bounds the |S|^2 pairs and ``table_budget`` the 2 |S|^2
-    cells held at once: a product index and its gather temporary.
+    cells of a whole product index and its gather temporary.  The step bins
+    one ``row_blocks`` block of rows of S against all of S at a time, so it
+    holds at most 2 max(BLOCK_CELLS, |S|) of those cells at once, beside
+    three histograms of |G|^d cells (c, and p with one block's addend).
     """
     size = G.n ** d
     flags = np.asarray(S, dtype=bool)
@@ -259,10 +262,20 @@ def translate_counts(
     check_budget(2 * m * m, table_budget, "translate table")
     inverses = _tables.tuple_index(G.n, (
         G.inv[c] for c in _tables.coordinate_columns(G.n, d, members)))
-    c = np.bincount(_tables.product_index(G, d, members, inverses).ravel(),
-                    minlength=size)
-    p = np.bincount(_tables.product_index(G, d, inverses, members).ravel(),
-                    minlength=size)
+
+    def histogram(left, right):
+        # A block of rows of left against all of right at a time, added
+        # into the first block's histogram in place.
+        hists = (np.bincount(_tables.product_index(
+            G, d, left[lo:hi], right).ravel(), minlength=size)
+            for lo, hi in row_blocks(m, m))
+        out = next(hists)
+        for h in hists:
+            out += h
+        return out
+
+    c = histogram(members, inverses)
+    p = histogram(inverses, members)
     # Overlaps are integers, so one reaches threshold * |G|^d exactly when
     # it reaches the ceiling of that bound.
     pairs = int(p[c >= math.ceil(Fraction(threshold) * size)].sum())
@@ -427,6 +440,14 @@ class CommutingReport:
         return self.pass_bound and self.equation_consistent
 
 
+# verify_commuting_corollary's word x1 x2, and the three words it samples:
+# both sides of the commutation identity and the derived word of x1 x2.
+_PRODUCT = Word(((1, 1), (2, 1)))
+_COMMUTING_WORDS = (parse_word("x1*x2*x1^-1"),
+                    parse_word("x3*x4*x5*x4^-1*x2*x5^-1*x3^-1"),
+                    derived_word(_PRODUCT))
+
+
 def verify_commuting_corollary(
     G: GroupTable, *,
     seed: int = 0,
@@ -440,16 +461,12 @@ def verify_commuting_corollary(
 
     holds exactly when (s1,s2,t1,t2,u1,u2) solves the derived equation of
     x1 x2 (the last coordinate cancels, so u2 is free)."""
-    w = Word(((1, 1), (2, 1)))
-    rho, _ = best_agreement(w, G, 2, hom_budget, table_budget)
+    rho, _ = best_agreement(_PRODUCT, G, 2, hom_budget, table_budget)
     m = EQUATION_SAMPLES
     # Columns 1 to 6 hold s1, s2, t1, t2, u1, u2.
     cols = randbelow_rows(seed, [G.n] * 6, m).T
-    lhs, rhs, v = (
-        _tables.evaluate_columns(word, G, cols.__getitem__, m)
-        for word in (parse_word("x1*x2*x1^-1"),
-                     parse_word("x3*x4*x5*x4^-1*x2*x5^-1*x3^-1"),
-                     derived_word(w)))
+    lhs, rhs, v = (_tables.evaluate_columns(word, G, cols.__getitem__, m)
+                   for word in _COMMUTING_WORDS)
     ok = bool(((lhs == rhs) == (v == 0)).all())
     return CommutingReport(
         group=G.name or f"order-{G.n}", rho=rho,

@@ -346,6 +346,11 @@ def _make_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: ``parse_args`` fills a fresh Namespace on every
+# call and stores nothing on the parser, so ``run`` may reuse it.
+_PARSER = _make_parser()
+
+
 def _render_text(report: dict) -> str:
     lines = []
 
@@ -375,9 +380,8 @@ def _emit(report: dict, cfg: argparse.Namespace) -> None:
 
 def run(argv: list[str]) -> int:
     """Parse argv, run the subcommand, emit the report, return the exit code."""
-    parser = _make_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

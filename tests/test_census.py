@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordmaplab import build, census, homset
+from wordmaplab import build, census, errors, homset
 from wordmaplab.bounds import commuting_bound, f as bound_triple
 from wordmaplab.census import (
     CHUNK,
@@ -287,6 +288,72 @@ def test_triple_count_closed_sets(groups):
     assert triples_of(np.ones(6, dtype=bool), G, 1) == 216
     sub = flags_for(G, {0, 3})  # a subgroup: closed under the equation
     assert triples_of(sub, G, 1) == 8
+
+
+def test_theorem_verdicts_at_their_floors():
+    # At rho = 1 on an order-24 group with d = 1 every floor is an integer:
+    # f1 |G|^2 = 24 and f |G|^3 = 96.  Counts exactly on a floor pass ("at
+    # least"), and one below fails that check.
+    tie = census.TheoremReport(
+        group="order-24", word="x1", d=1, order=24, s_size=24,
+        solutions=census.CensusResult(mode="exact", space_size=24 ** 3,
+                                      count=96),
+        qualifying_pairs=24, triples=96)
+    assert (tie.required, tie.required_pairs, tie.required_triples) == \
+        (96, 24, 96)
+    assert (tie.pass_solutions, tie.pass_pairs, tie.pass_triples,
+            tie.pass_chain, tie.passed) == (True, True, True, True, True)
+    below = dataclasses.replace(
+        tie, solutions=dataclasses.replace(tie.solutions, count=95))
+    assert not below.pass_solutions and not below.passed
+    assert not dataclasses.replace(tie, qualifying_pairs=23).pass_pairs
+    below = dataclasses.replace(tie, triples=95)
+    assert not below.pass_triples and below.pass_chain
+    # A sampled mean exactly at f passes too.
+    sampled = dataclasses.replace(tie, solutions=census.CensusResult(
+        mode="estimate", space_size=24 ** 3, estimate_mean=Fraction(1, 144),
+        samples=1000, seed=0))
+    assert sampled.pass_solutions and sampled.passed
+
+
+def test_commuting_verdict_at_its_floor():
+    tie = census.CommutingReport(
+        group="order-24", rho=Fraction(1),
+        commuting_probability=commuting_bound(1), equation_samples=1000,
+        equation_consistent=True)
+    assert tie.bound == Fraction(1, 287)
+    assert tie.pass_bound and tie.passed
+    below = dataclasses.replace(
+        tie, commuting_probability=Fraction(1, 287) - Fraction(1, 10 ** 9))
+    assert not below.pass_bound and not below.passed
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_translate_count_blocks_match_one_block(rows, groups, monkeypatch):
+    # Blocks of one and of seven rows of S (the latter leaving a short last
+    # block) give the counts of the whole step in one block, on the
+    # battery's agreement sets, at the f2 threshold and at 1/2.
+    cases = 0
+    for spec in BATTERY_SPECS:
+        G = groups[spec]
+        for text in ("x1^2", "x1^3", "x1*x2", COMMUTATOR):
+            w = parse_word(text)
+            d = max(w.arity, 1)
+            if d == 2 and G.n > 8:
+                continue
+            wv = word_values(w, G, d)
+            _, hom = best_agreement(w, G, d, wv=wv)
+            S = homset.agreement_flags(G, hom, wv)
+            m = int(S.sum())
+            for threshold in (bound_triple(Fraction(m, len(S))).f2,
+                              Fraction(1, 2)):
+                monkeypatch.setattr(errors, "BLOCK_CELLS", m * m)
+                whole = translate_counts(S, G, d, threshold)
+                monkeypatch.setattr(errors, "BLOCK_CELLS", rows * m)
+                assert translate_counts(S, G, d, threshold) == whole, \
+                    (spec, text, threshold)
+            cases += m > rows
+    assert cases >= 20
 
 
 def tuple_ops(G, d):

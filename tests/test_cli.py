@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -54,6 +55,50 @@ def test_reports_identical_up_to_timings(capsys):
     rep1.pop("timings")
     rep2.pop("timings")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_run_builds_no_parser(capsys, monkeypatch):
+    # The parser is built once, at import; runs of every outcome reuse it.
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["derive-word", "--word", "x1*x2"],
+                 ["commuting-probability", "--group", "S3"],
+                 ["commuting-probability", "--bogus"],
+                 ["verify-theorem", "--group", "S3", "--word", "x1^2"]):
+        cli.run(argv)
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_runs_share_no_parsed_state(capsys):
+    # Flags given to one run do not become the next run's defaults.
+    argv = ["commuting-probability", "--group", "S3"]
+    assert cli.run(argv + ["--seed", "7", "--format", "text"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["config"]["seed"] == 0
+    assert rep["config"]["format"] == "json"
+
+
+def test_usage_error_leaves_next_run_alone(capsys):
+    # Text reports hold no timings, so a run's bytes can be compared whole.
+    argv = ["verify-theorem", "--group", "S3", "--word", "x1^2",
+            "--format", "text"]
+    assert cli.run(argv) == 0
+    alone = capsys.readouterr()
+    assert cli.run(["fiber-stats", "--group", "Q8", "--word", "x1^2"]) == 0
+    assert cli.run(["verify-theorem", "--group", "S3", "--word", "x1^2",
+                    "--samples", "many"]) == 2
+    capsys.readouterr()
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == alone
 
 
 def test_json_output_is_canonical(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -16,6 +17,7 @@ from wordmaplab.familycheck import (
     FUZZ_X_SIZES,
     FamilyInstance,
     InfeasibleParametersError,
+    LemmaReport,
     _pairs_reaching,
     adversarial_families,
     fuzz_instances,
@@ -399,3 +401,11 @@ def test_load_family_rejects_mutations(tmp_path_factory, inst, data):
     except (ValueError, BudgetExceededError):
         return
     assert not invalid, text
+
+
+def test_lemma_verdict_at_its_floor():
+    # At rho = 1 and |X| = 24 the pair floor f1 |X|^2 is exactly 24.
+    tie = LemmaReport(label="tie", x_size=24, i_size=24, rho=Fraction(1),
+                      qualifying_pairs=24)
+    assert tie.required_pairs == 24 and tie.passed
+    assert not dataclasses.replace(tie, qualifying_pairs=23).passed

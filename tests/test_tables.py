@@ -236,3 +236,15 @@ def test_translate_counts_inverts_members_only(groups):
     peak = traced_peak(lambda: translate_counts(flags, groups["C2"], d,
                                                 Fraction(1, 2)))
     assert peak <= 2.5 * table, peak / table
+
+
+def test_translate_counts_holds_one_block():
+    # C24 x1*x2 agrees with a hom everywhere on C24^2, so |S| = 576.  The
+    # whole product index and its gather would be 2 |S|^2 cells; binning a
+    # block of rows of S at a time holds two blocks of at most BLOCK_CELLS.
+    G, d = build("C24"), 2
+    m = G.n ** d
+    flags = np.ones(m, dtype=bool)
+    peak = traced_peak(lambda: translate_counts(flags, G, d, Fraction(1, 2)))
+    assert m * m > 2 * errors.BLOCK_CELLS
+    assert peak <= 1.2 * 8 * 2 * errors.BLOCK_CELLS, peak / (8 * m * m)
