@@ -2,7 +2,7 @@
 
 Tuples (g_1, ..., g_d) over a group of order n are flattened to the index
 g_1 * n^(d-1) + ... + g_d, so the LAST coordinate varies fastest; only
-``coordinate_column`` and ``tuple_index`` convert between the two forms,
+``coordinate_columns`` and ``tuple_index`` convert between the two forms,
 one column of given indices at a time.  The exact census and the
 pair/triple step ``census.translate_counts`` share one product kernel,
 ``product_index``.  The word table builds no column: viewed as an
@@ -22,14 +22,9 @@ from .freeword import Word
 from .group import GroupTable, power_table
 
 
-def coordinate_column(n: int, d: int, i: int, idx) -> np.ndarray:
-    """Coordinate i+1 of every index in ``idx``."""
-    return idx // n ** (d - 1 - i) % n
-
-
 def coordinate_columns(n: int, d: int, idx):
-    """The d columns of ``coordinate_column``, built one at a time."""
-    return (coordinate_column(n, d, i, idx) for i in range(d))
+    """Coordinates 1..d of every index in ``idx``, one column at a time."""
+    return (idx // n ** (d - 1 - i) % n for i in range(d))
 
 
 def tuple_index(n: int, cols) -> np.ndarray:
@@ -47,10 +42,11 @@ def tuple_index(n: int, cols) -> np.ndarray:
 def product_index(G: GroupTable, d: int, left, right) -> np.ndarray:
     """Index of the componentwise product a b for every a in ``left`` and
     b in ``right`` (index arrays into G^d), shape (len(left), len(right))."""
+    # G^0's one tuple, index 0, reads as the identity tuple of G^1.
     return tuple_index(G.n, (
         G.mul[a[:, None], b[None, :]]
-        for a, b in zip(coordinate_columns(G.n, d, left),
-                        coordinate_columns(G.n, d, right))))
+        for a, b in zip(coordinate_columns(G.n, max(d, 1), left),
+                        coordinate_columns(G.n, max(d, 1), right))))
 
 
 def word_values(w: Word, G: GroupTable, d: int,

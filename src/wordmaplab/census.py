@@ -100,28 +100,29 @@ def fiber_stats(
 
 @dataclass(frozen=True)
 class CensusResult:
-    """Outcome of a solution census, exact or sampled."""
+    """Outcome of a solution census: ``count`` solutions among all
+    ``space_size`` triples, or hits among ``samples`` seeded draws."""
 
-    mode: str                      # "exact" | "estimate"
     space_size: int                # |G|^{3d}
-    count: int | None = None       # exact mode
-    estimate_mean: Fraction | None = None
-    samples: int | None = None
+    count: int
+    samples: int | None = None     # sampled census only
     seed: int | None = None
 
     @property
+    def mode(self) -> str:
+        return "exact" if self.samples is None else "estimate"
+
+    @property
     def proportion(self) -> Fraction:
-        """Solution density: exact count / |G|^{3d}, or the sampled mean."""
-        if self.mode == "exact":
-            return Fraction(self.count, self.space_size)
-        return self.estimate_mean
+        """Solution density: count / |G|^{3d}, or the hit fraction."""
+        return Fraction(self.count, self.samples or self.space_size)
 
     @property
     def ci_half_width(self) -> Fraction | None:
         """The sampled mean's 95% half-width (49/25) sqrt(p(1-p)/samples)."""
-        if self.mode == "exact":
+        if self.samples is None:
             return None
-        p = self.estimate_mean
+        p = self.proportion
         return Z95 * _sqrt_fraction(p * (1 - p) / self.samples)
 
 
@@ -172,7 +173,7 @@ def count_solutions_exact(
     keys += xn[:, None]
     B = np.bincount(keys.ravel(), minlength=size * n)
     # A @ B <= size^3 fits in int64 unless the tables above exceed 2^42 cells.
-    return CensusResult(mode="exact", space_size=space, count=int(A @ B))
+    return CensusResult(space_size=space, count=int(A @ B))
 
 
 def estimate_solutions(
@@ -184,12 +185,14 @@ def estimate_solutions(
 
     Sample j of chunk i uses draws 3dj..3dj+3d-1 of the SplitMix64 stream
     seeded with derive_seed(seed, i); chunks have the fixed size CHUNK.  The
-    mean is the exact hit fraction, and the result derives its half-width
-    from it, so identical (seed, samples) reproduce the result bit for bit
-    on any platform.  ``wv`` is as in
-    ``count_solutions_exact``.  A chunk's draws are held in three (3d, CHUNK)
-    buffers, 9d cells per sample, which count against ``table_budget``.
+    result stores the hit count and derives its mean and half-width from it,
+    so identical (seed, samples) reproduce the result bit for bit on any
+    platform.  ``wv`` is as in ``count_solutions_exact``.  A chunk's draws
+    are held in three (3d, CHUNK) buffers, 9d cells per sample, which count
+    against ``table_budget``.  G^0 has no coordinate to draw: d >= 1.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     n = G.n
@@ -219,9 +222,8 @@ def estimate_solutions(
         rhs *= n
         rhs += wv[index(n, u)]
         hits += int(np.count_nonzero(lhs == mul[rhs]))
-    return CensusResult(mode="estimate", space_size=len(wv) ** 3,
-                        estimate_mean=Fraction(hits, samples),
-                        samples=samples, seed=seed)
+    return CensusResult(space_size=len(wv) ** 3, count=hits, samples=samples,
+                        seed=seed)
 
 
 # -- membership-set statistics over X = G^d ----------------------------------

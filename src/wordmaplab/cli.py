@@ -63,7 +63,7 @@ def _census_dict(r: census.CensusResult) -> dict:
         out["count"] = str(r.count)
         out["proportion"] = rat_str(r.proportion)
     else:
-        out["estimate_mean"] = rat_str(r.estimate_mean)
+        out["estimate_mean"] = rat_str(r.proportion)
         out["ci_half_width"] = rat_str(r.ci_half_width)
         out["samples"] = r.samples
         out["seed"] = str(r.seed)

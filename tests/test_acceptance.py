@@ -171,7 +171,7 @@ def test_c09_estimator_calibration(groups):
     covered = 0
     for seed in range(100):
         est = estimate_solutions(w, G, 100_000, seed, 2)
-        covered += abs(est.estimate_mean - p) <= est.ci_half_width
+        covered += abs(est.proportion - p) <= est.ci_half_width
     assert covered >= 90, covered
     a = estimate_solutions(w, G, 100_000, 0, 2)
     b = estimate_solutions(w, G, 100_000, 0, 2)

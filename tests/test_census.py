@@ -195,13 +195,13 @@ def test_estimator_deterministic(groups):
     a = estimate_solutions(w, groups["S3"], 10_000, 0, 1)
     b = estimate_solutions(w, groups["S3"], 10_000, 0, 1)
     assert a == b
-    assert a.estimate_mean == Fraction(633, 1250)
+    assert a.proportion == Fraction(633, 1250)
     assert a.mode == "estimate" and a.seed == 0 and a.samples == 10_000
 
 
 def test_estimator_pinned_d2():
     est = estimate_solutions(parse_word("x1*x2"), build("S4"), 20_000, 0, 2)
-    assert est.estimate_mean == Fraction(523, 5000)
+    assert est.proportion == Fraction(523, 5000)
     assert est.ci_half_width == Fraction(26509130193, 6250000000000)
 
 
@@ -217,27 +217,33 @@ def test_estimator_matches_scalar_oracle(spec, text, d, groups):
     for samples, seed in ((8193, 1), (20_000, 7)):
         est = estimate_solutions(w, G, samples, seed, d)
         hits = estimator_hits(w, G, samples, seed, d)
-        assert est.estimate_mean == Fraction(hits, samples), samples
+        assert est.proportion == Fraction(hits, samples), samples
 
 
 def test_estimator_covers_true_value(groups):
     # Deterministic given the pinned seed; the interval contains p = 1/2.
     est = estimate_solutions(parse_word("x1^2"), groups["S3"], 10_000, 0, 1)
-    assert abs(est.estimate_mean - Fraction(1, 2)) <= est.ci_half_width
+    assert abs(est.proportion - Fraction(1, 2)) <= est.ci_half_width
 
 
 def test_estimator_saturated_and_degenerate(groups):
     est = estimate_solutions(parse_word("x1*x2"), groups["C4"], 1500, 9, 2)
-    assert est.estimate_mean == 1
+    assert est.proportion == 1
     assert est.ci_half_width == 0
 
     one = estimate_solutions(parse_word("x1^2"), groups["C1"], 1000, 5, 1)
-    assert one.estimate_mean == 1
+    assert one.proportion == 1
 
 
 def test_estimator_needs_min_samples(groups):
     with pytest.raises(ValueError):
         estimate_solutions(parse_word("x1^2"), groups["S3"], 999, 0, 1)
+
+
+def test_estimator_needs_a_coordinate(groups):
+    # G^0 has no coordinate to draw; the exact census covers d = 0.
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        estimate_solutions(parse_word("1"), groups["S3"], 1000, 0, 0)
 
 
 def test_estimator_chunking_is_stable(groups):
@@ -296,8 +302,7 @@ def test_theorem_verdicts_at_their_floors():
     # least"), and one below fails that check.
     tie = census.TheoremReport(
         group="order-24", word="x1", d=1, order=24, s_size=24,
-        solutions=census.CensusResult(mode="exact", space_size=24 ** 3,
-                                      count=96),
+        solutions=census.CensusResult(space_size=24 ** 3, count=96),
         qualifying_pairs=24, triples=96)
     assert (tie.required, tie.required_pairs, tie.required_triples) == \
         (96, 24, 96)
@@ -309,11 +314,14 @@ def test_theorem_verdicts_at_their_floors():
     assert not dataclasses.replace(tie, qualifying_pairs=23).pass_pairs
     below = dataclasses.replace(tie, triples=95)
     assert not below.pass_triples and below.pass_chain
-    # A sampled mean exactly at f passes too.
+    # A sampled mean exactly at f passes too: 7 hits in 1008 samples.
     sampled = dataclasses.replace(tie, solutions=census.CensusResult(
-        mode="estimate", space_size=24 ** 3, estimate_mean=Fraction(1, 144),
-        samples=1000, seed=0))
+        space_size=24 ** 3, count=7, samples=1008, seed=0))
+    assert sampled.solutions.mode == "estimate"
+    assert sampled.solutions.proportion == Fraction(1, 144)
     assert sampled.pass_solutions and sampled.passed
+    assert not dataclasses.replace(tie, solutions=dataclasses.replace(
+        sampled.solutions, count=6)).pass_solutions
 
 
 def test_commuting_verdict_at_its_floor():

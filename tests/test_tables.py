@@ -9,7 +9,8 @@ import pytest
 from wordmaplab import errors
 from wordmaplab._tables import (coordinate_columns, product_index,
                                 tuple_index, word_values)
-from wordmaplab.census import (CHUNK, estimate_solutions, fiber_stats,
+from wordmaplab.census import (CHUNK, count_solutions_exact,
+                               estimate_solutions, fiber_stats,
                                translate_counts)
 from wordmaplab.errors import BudgetExceededError, row_blocks
 from wordmaplab.freeword import parse_word
@@ -48,8 +49,9 @@ def test_tuple_index_d0():
     assert tuple_index(7, []).tolist() == [0]
 
 
-@pytest.mark.parametrize("spec,d", [("S3", 1), ("S3", 2), ("Q8", 2),
-                                    ("D4", 2), ("C2xC2", 3), ("C3", 3)])
+@pytest.mark.parametrize("spec,d", [("S3", 0), ("S3", 1), ("S3", 2),
+                                    ("Q8", 2), ("D4", 2), ("C2xC2", 3),
+                                    ("C3", 3)])
 def test_product_and_inverse_vs_loop_oracle(spec, d, groups):
     G = groups[spec]
     product, inverse = loop_tuple_tables(G, d)
@@ -188,6 +190,20 @@ def test_word_table_holds_one_table_and_a_block(d, groups):
     # block is the whole table, so the bound is measured above that.
     peak = word_table_peak("x3*x1^-1*x2", d, groups)
     assert peak <= 1.02 + errors.BLOCK_CELLS / 2 ** d, peak
+
+
+@pytest.mark.parametrize("name,text,d", [("S3xS3", "x1*x2", 2),
+                                         ("D501", "x1^2", 1)])
+def test_exact_census_holds_its_tables(name, text, d):
+    # Beside the given word table, the census holds the word values w(ab)
+    # and one histogram's keys, n^(2d) cells each, with their gather
+    # temporary, and its two histograms of n^(d+1) cells.
+    G, w = build(name), parse_word(text)
+    wv = word_values(w, G, d)
+    peak = traced_peak(lambda: count_solutions_exact(
+        w, G, d, iter_budget=10 ** 10, wv=wv))
+    cells = 3 * G.n ** (2 * d) + 2 * G.n ** (d + 1)
+    assert peak <= 1.1 * 8 * cells, peak / (8 * G.n ** (2 * d))
 
 
 @pytest.mark.parametrize("d,samples", [(100, 1000), (40, 10000)])
